@@ -5,47 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix, csgraph
 
 from .sampler import SimpleGraph
 
-__all__ = ["UnionFind", "ComponentReport", "connected_components", "report"]
-
-
-class UnionFind:
-    """Disjoint sets over [0, n) with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, v: int) -> int:
-        parent = self.parent
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-    def component_sizes(self) -> list[tuple[int, int]]:
-        """(size, smallest member) per component, largest first."""
-        smallest: dict[int, int] = {}
-        for v in range(len(self.parent)):
-            root = self.find(v)
-            if root not in smallest:
-                smallest[root] = v
-        out = [(self.size[root], first) for root, first in smallest.items()]
-        out.sort(key=lambda t: (-t[0], t[1]))
-        return out
+__all__ = ["ComponentReport", "connected_components", "report"]
 
 
 @dataclass(frozen=True)
@@ -73,13 +37,15 @@ class ComponentReport:
 def connected_components(g: SimpleGraph) -> list[int]:
     """Component sizes of the graph, sorted descending.
 
-    Single pass over the edge list with union-find; O((n + m) alpha(n)).
+    Labels the components with scipy's csgraph search over the edge list
+    as a sparse adjacency matrix, then counts the labels; O(n + m).
     """
-    uf = UnionFind(g.n)
-    union = uf.union
-    for u, v in g.edges.tolist():
-        union(u, v)
-    return [size for size, _ in uf.component_sizes()]
+    adjacency = coo_matrix(
+        (np.ones(g.m, dtype=np.int8), (g.edges[:, 0], g.edges[:, 1])),
+        shape=(g.n, g.n),
+    )
+    _, labels = csgraph.connected_components(adjacency, directed=False)
+    return np.sort(np.bincount(labels))[::-1].tolist()
 
 
 def report(g: SimpleGraph) -> ComponentReport:

@@ -4,7 +4,9 @@ All experiments are deterministic functions of their configuration and a
 master seed.  Trials derive independent streams keyed by trial index
 (see seeding), so results do not depend on execution order; the worker
 count only changes wall-clock time.  Worker parallelism is capped by the
-GNMD_WORKERS environment variable (default: serial).
+GNMD_WORKERS environment variable (default: serial).  A sweep or duel
+hands every (grid point, trial) task of the run to one process pool, and
+slices the results back per grid point.
 """
 
 from __future__ import annotations
@@ -88,12 +90,29 @@ def threshold_rows(d_max: int) -> list[tuple[int, float, float]]:
     ]
 
 
+def _edge_count(mu: float, n: int, d: int) -> int:
+    """Realized edge count m = ceil(mu * n / 2) of a grid point.
+
+    Raises:
+        ValueError: If 2m > d*n: rounding up leaves no graph with max
+            degree d (possible when mu is within 1/n of d and d*n is odd).
+    """
+    m = math.ceil(mu * n / 2)
+    if 2 * m > d * n:
+        raise ValueError(
+            f"mu={mu} is infeasible at n={n}, d={d}: "
+            f"2m = {2 * m} exceeds d*n = {d * n}"
+        )
+    return m
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid of mean degrees to simulate at fixed (d, n).
 
-    mu_grid must be strictly increasing with every value in (0, d);
-    trials >= 1 graphs are sampled per grid point; n >= 10.
+    mu_grid must be strictly increasing with every value in (0, d) and a
+    feasible edge count ceil(mu * n / 2) <= d * n / 2; trials >= 1 graphs
+    are sampled per grid point; n >= 10.
     """
 
     d: int
@@ -116,6 +135,8 @@ class SweepConfig:
             raise ValueError(f"every mu must lie in (0, {self.d})")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("mu_grid must be strictly increasing")
+        for mu in grid:
+            _edge_count(mu, self.n, self.d)
         object.__setattr__(self, "mu_grid", grid)
 
 
@@ -206,6 +227,7 @@ def _sweep_trial(args: tuple[int, int, int, int, int]) -> tuple[float, float, tu
 
 
 def _run_trials(worker, args_list: list, workers: int) -> list:
+    """worker(a) for each a in args_list, in order, on one pool if workers > 1."""
     if workers <= 1 or len(args_list) <= 1:
         return [worker(a) for a in args_list]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -216,29 +238,32 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Simulate every grid point and aggregate per-trial component reports.
 
     Per grid point, the edge count is the realized m = ceil(mu * n / 2)
-    and `trials` independent graphs are sampled on streams keyed by a
-    global trial index, so output is a pure function of the config.
-    Sampler failures flag the row instead of aborting the sweep.
+    and `trials` independent graphs are sampled on streams keyed by the
+    global trial index grid_index * trials + t, so output is a pure
+    function of the config.  Sampler failures flag the row instead of
+    aborting the sweep.
     """
-    workers = worker_count()
+    d, n, trials = config.d, config.n, config.trials
+    ms = [_edge_count(mu, n, d) for mu in config.mu_grid]
+    predictions = [giant.predict(d, mu) for mu in config.mu_grid]
+    args = [
+        (d, n, m, config.master_seed, grid_index * trials + t)
+        for grid_index, m in enumerate(ms)
+        for t in range(trials)
+    ]
+    results = _run_trials(_sweep_trial, args, worker_count())
     rows: list[SweepRow] = []
-    for grid_index, mu in enumerate(config.mu_grid):
-        m = math.ceil(mu * config.n / 2)
-        prediction = giant.predict(config.d, mu)
-        args = [
-            (config.d, config.n, m, config.master_seed, grid_index * config.trials + t)
-            for t in range(config.trials)
+    for grid_index, (mu, m, prediction) in enumerate(
+        zip(config.mu_grid, ms, predictions)
+    ):
+        chunk = results[grid_index * trials : (grid_index + 1) * trials]
+        ok = [r for r in chunk if not r[3]]
+        largest = [r[0] for r in ok]
+        second = [r[1] for r in ok]
+        errors = trials - len(ok)
+        devs = [
+            float(np.abs(np.asarray(r[2]) / n - prediction.law.probs).max()) for r in ok
         ]
-        results = _run_trials(_sweep_trial, args, workers)
-        largest = [r[0] for r in results if not r[3]]
-        second = [r[1] for r in results if not r[3]]
-        errors = sum(1 for r in results if r[3])
-        devs = []
-        for _, _, degree_counts, err in results:
-            if err:
-                continue
-            freq = np.asarray(degree_counts) / config.n
-            devs.append(float(np.abs(freq - prediction.law.probs).max()))
         flags = []
         if prediction.near_critical:
             flags.append("near_critical")
@@ -246,11 +271,11 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
             flags.append(f"errors={errors}")
         rows.append(
             SweepRow(
-                d=config.d,
+                d=d,
                 mu=float(mu),
-                n=config.n,
+                n=n,
                 m=m,
-                trials=config.trials,
+                trials=trials,
                 predicted_theta=prediction.giant_fraction or 0.0,
                 mean_largest_frac=float(np.mean(largest)) if largest else math.nan,
                 std_largest_frac=_std(largest),
@@ -317,18 +342,20 @@ def run_percolation_duel(
     grid = [float(v) for v in mu_grid]
     if any(not (0.0 < v < d) for v in grid):
         raise ValueError(f"every mu must lie in (0, {d})")
-    workers = worker_count()
+    ms = [_edge_count(mu, n, d) for mu in grid]
+    args = [
+        (d, n, m, mu, master_seed, grid_index * trials + t)
+        for grid_index, (mu, m) in enumerate(zip(grid, ms))
+        for t in range(trials)
+    ]
+    results = _run_trials(_duel_trial, args, worker_count())
     rows: list[DuelRow] = []
-    for grid_index, mu in enumerate(grid):
-        m = math.ceil(mu * n / 2)
-        args = [
-            (d, n, m, mu, master_seed, grid_index * trials + t)
-            for t in range(trials)
-        ]
-        results = _run_trials(_duel_trial, args, workers)
-        bounded = [r[0] for r in results if not r[2]]
-        perc = [r[1] for r in results if not r[2]]
-        errors = sum(1 for r in results if r[2])
+    for grid_index, (mu, m) in enumerate(zip(grid, ms)):
+        chunk = results[grid_index * trials : (grid_index + 1) * trials]
+        ok = [r for r in chunk if not r[2]]
+        bounded = [r[0] for r in ok]
+        perc = [r[1] for r in ok]
+        errors = trials - len(ok)
         rows.append(
             DuelRow(
                 d=d,

@@ -1,18 +1,28 @@
 """Phase classification and giant-component size prediction.
 
-For a degree distribution (p_0, ..., p_d) with mean D = sum i p_i, the
-component exploration of the associated random graph is governed by
+For a degree distribution (p_0, ..., p_d) with mean D = sum i p_i and
+generating functions G0(s) = sum p_i s^i and G1(s) = G0'(s) / D, a
+half-edge leads to a finite component with probability xi, the largest
+root in [0, 1) of the size-biased fixed point
 
-    frontier(x) = D - 2x - sum_{i=1}^{d} i p_i (1 - 2x/D)^(i/2)
+    xi = G1(xi)
 
-for x in [0, D/2]: to first order it is the expected number of half-edges
-sitting on reached-but-unexplored vertices after x n edges have been
-exposed.  The function vanishes at both endpoints and its slope at zero is
-Q/D, where Q = sum i(i-2) p_i is the Molloy-Reed value.  When Q > 0 the
-frontier lifts off and its smallest positive root marks the point where
-the exploration of the giant component dies out; plugging that root into
-the survival identity gives the asymptotic fraction of vertices in the
-giant.
+(Molloy & Reed 1995; Newman, Strogatz & Watts 2001), and the giant holds
+the fraction theta = 1 - G0(xi) of the vertices.  xi = 1 always solves the
+fixed point; when the Molloy-Reed value Q = sum i(i-2) p_i is positive, a
+second root lies in [0, 1).
+
+The same root appears in the exploration frontier
+
+    frontier(x) = D - 2x - sum_{i=1}^{d} i p_i (1 - 2x/D)^(i/2),
+
+x in [0, D/2], which to first order is the expected number of half-edges
+on reached-but-unexplored vertices after x n edges have been exposed
+(Janson & Luczak 2009).  Substituting xi = sqrt(1 - 2x/D) turns it into
+xi * (D xi - sum_i i p_i xi^(i-1)) = xi * D (xi - G1(xi)), so the
+frontier's smallest positive root is x = D/2 (1 - xi^2).  The root is
+found as the root of that polynomial in xi; the frontier itself is kept
+as an independent check.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from enum import Enum
 from typing import Any, Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from . import truncpoisson
 from .truncpoisson import DegreeLaw
@@ -40,8 +51,11 @@ __all__ = [
 #: |mu - critical mean| below which a prediction is flagged as unreliable.
 NEAR_CRITICAL_BAND = 1e-6
 
-#: Grid points used to locate the first sign change of the frontier.
-_SCAN_POINTS = 10_000
+#: Largest imaginary part of a polynomial root accepted as real.
+_REAL_ROOT_TOL = 1e-9
+
+#: Largest float below 1: the root xi of a supercritical law lies in [0, 1).
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 class Phase(str, Enum):
@@ -92,11 +106,14 @@ def frontier_root(law: DegreeLaw | Sequence[float]) -> float:
     """Smallest positive root of the exploration frontier.
 
     Requires a supercritical distribution (Molloy-Reed value Q > 0, i.e.
-    the frontier leaves zero with positive slope Q/D).  The root is
-    located by a forward scan over _SCAN_POINTS grid points on (0, D/2]
-    followed by bisection; if the frontier never turns negative inside the
-    interval, D/2 (a root by construction) is returned.  That fallback can
-    only happen when p_1 = 0, e.g. for a single-atom degree distribution.
+    the frontier leaves zero with positive slope Q/D).  Solves the
+    polynomial D xi - sum_i i p_i xi^(i-1) = 0, whose roots in [0, 1] are
+    the fixed points of xi = G1(xi), after dividing out the root xi = 1
+    that every distribution has: near the threshold the wanted root
+    approaches 1, and the two would merge in the companion-matrix
+    eigenvalues.  The largest real root left, clamped into [0, 1), maps
+    back to x = D/2 (1 - xi^2).  xi = 0 (x = D/2) is the root when
+    p_1 = 0, e.g. for a single-atom degree distribution.
 
     Raises:
         ValueError: If Q <= 0 (subcritical; no positive root is promised).
@@ -107,43 +124,18 @@ def frontier_root(law: DegreeLaw | Sequence[float]) -> float:
     if q <= 0:
         raise ValueError(f"frontier root requires Molloy-Reed value > 0, got {q!r}")
     big_d = _degree_mean(probs)
-    half = big_d / 2.0
-
-    def g(x: float) -> float:
-        return exploration_frontier(probs, x)
-
-    lo = 0.0
-    hi = None
-    for k in range(1, _SCAN_POINTS + 1):
-        x = half * k / _SCAN_POINTS
-        if g(x) < 0.0:
-            hi = x
-            break
-        lo = x
-    if hi is None:
-        return half
-    if lo == 0.0:
-        # Root sits inside the first grid cell; walk down until the
-        # frontier is positive (it must be, since g'(0) = Q/D > 0).
-        lo = hi / 2.0
-        while g(lo) <= 0.0:
-            lo /= 2.0
-            if lo < 1e-12:
-                # Q sits at float-noise scale, so the lift-off cannot be
-                # resolved; the root is indistinguishable from zero.
-                return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    if abs(g(root)) > 1e-10:
-        raise ArithmeticError(f"frontier root did not converge: g({root})={g(root)}")
-    return root
+    # Coefficients of D xi - sum_i i p_i xi^(i-1), in increasing powers.
+    coeffs = -i[1:] * probs[1:]
+    coeffs[1] += big_d
+    deflated, _ = P.polydiv(coeffs, [-1.0, 1.0])
+    roots = P.polyroots(deflated)
+    # G1 is convex with G1'(1) = 1 + Q/D > 1, so no fixed point lies above
+    # 1 and the largest real root is the wanted one.  Rounding can move it
+    # below 0 when it is 0, or past 1 when Q sits at float-noise scale and
+    # the root cannot be told apart from 1.
+    xi = float(roots.real[np.abs(roots.imag) <= _REAL_ROOT_TOL].max())
+    xi = min(max(xi, 0.0), _BELOW_ONE)
+    return big_d / 2.0 * (1.0 - xi) * (1.0 + xi)
 
 
 def giant_fraction(law: DegreeLaw | Sequence[float], root: float) -> float:

@@ -33,7 +33,7 @@ attempt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -165,20 +165,18 @@ class SamplerStats:
 
     alpha is sum_i x_i(x_i - 1) / (2m) of an attempted degree sequence;
     its running mean tracks the quantity that controls the simplicity
-    acceptance probability, which is why it is logged per attempt.
+    acceptance probability, which is why its sum over attempts is kept.
     """
 
     histogram_draws: int = 0
     pairings: int = 0
     simple: int = 0
     alpha_total: float = 0.0
-    alphas: list[float] = field(default_factory=list, repr=False)
 
     def record_pairing(self, alpha: float, accepted: bool) -> None:
         self.pairings += 1
         self.simple += int(accepted)
         self.alpha_total += alpha
-        self.alphas.append(alpha)
 
     @property
     def alpha_mean(self) -> float:
@@ -275,12 +273,21 @@ def pair_configuration(x: DegreeSequence, rng: np.random.Generator) -> Multigrap
     return Multigraph(edges=tokens.reshape(-1, 2), n=x.n)
 
 
+def _endpoints(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
+    """Smaller and larger endpoint of every edge.
+
+    Taken column against column: a row-wise min over the (m, 2) array
+    costs about 30 times as much.
+    """
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    return np.minimum(u, v), np.maximum(u, v)
+
+
 def is_simple(g: Multigraph) -> bool:
     """True iff the multigraph has no loop and no repeated pair."""
     if g.m == 0:
         return True
-    lo = g.edges.min(axis=1)
-    hi = g.edges.max(axis=1)
+    lo, hi = _endpoints(g)
     if np.any(lo == hi):
         return False
     codes = np.sort(lo * g.n + hi)
@@ -298,10 +305,9 @@ def alpha_diagnostic(x: DegreeSequence) -> float:
 
 
 def _simple_graph_from_multigraph(g: Multigraph, d: int) -> SimpleGraph:
-    lo = g.edges.min(axis=1)
-    hi = g.edges.max(axis=1)
-    order = np.lexsort((hi, lo))
-    edges = np.column_stack((lo[order], hi[order]))
+    lo, hi = _endpoints(g)
+    codes = np.sort(lo * g.n + hi)
+    edges = np.column_stack(np.divmod(codes, g.n))
     return SimpleGraph(n=g.n, m=g.m, d=d, edges=edges)
 
 
@@ -320,7 +326,7 @@ def sample_graph(
 
     Args:
         stats: Optional SamplerStats accumulator; records histogram draws,
-            pairing attempts, and per-attempt alpha diagnostics.
+            pairing attempts, and the sum of per-attempt alpha diagnostics.
 
     Raises:
         ValueError: If the instance is infeasible (2m > dn).

@@ -13,6 +13,27 @@ def graph_from_edges(n, d, edge_list):
     return sampler.SimpleGraph(n=n, m=len(edge_list), d=d, edges=edges)
 
 
+def bfs_component_sizes(g):
+    """Reference: component sizes by breadth-first search, descending."""
+    adj = g.adjacency()
+    seen = [False] * g.n
+    sizes = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue, size = [start], 0
+        while queue:
+            v = queue.pop()
+            size += 1
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+        sizes.append(size)
+    return sorted(sizes, reverse=True)
+
+
 class TestConnectedComponents:
     def test_edgeless_graph(self):
         g = sampler.SimpleGraph(n=5, m=0, d=2, edges=np.empty((0, 2), dtype=np.int64))
@@ -31,25 +52,21 @@ class TestConnectedComponents:
             g = sampler.sample_graph(200, 150, 4, make_rng(seed))
             assert sum(components.connected_components(g)) == 200
 
-
-class TestUnionFind:
-    def test_independent_of_edge_order(self):
-        edges = [(0, 1), (1, 2), (3, 4), (5, 6), (2, 5)]
-        base = None
-        for order in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 0, 4, 1, 3]):
-            uf = components.UnionFind(7)
-            for i in order:
-                uf.union(*edges[i])
-            sizes = [s for s, _ in uf.component_sizes()]
-            if base is None:
-                base = sizes
-            assert sizes == base
-
-    def test_component_ordering_breaks_ties_by_smallest_member(self):
-        uf = components.UnionFind(6)
-        uf.union(4, 5)
-        uf.union(0, 1)
-        assert uf.component_sizes() == [(2, 0), (2, 4), (1, 2), (1, 3)]
+    @pytest.mark.parametrize(
+        "n, m, d, seed",
+        [(1, 0, 3, 0), (12, 0, 3, 1), (30, 8, 3, 2), (200, 90, 4, 3), (500, 600, 5, 4)],
+    )
+    def test_matches_breadth_first_search(self, n, m, d, seed):
+        rng = make_rng(seed)
+        if m:
+            g = sampler.sample_graph(n, m, d, rng)
+        else:
+            g = sampler.SimpleGraph(n=n, m=0, d=d, edges=np.empty((0, 2), dtype=np.int64))
+        # Percolate half the edges away so that isolated vertices and many
+        # small components appear.
+        keep = rng.random(g.m) < 0.5
+        g = sampler.SimpleGraph(n=n, m=int(keep.sum()), d=d, edges=g.edges[keep])
+        assert components.connected_components(g) == bfs_component_sizes(g)
 
 
 class TestReport:

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from gnmd import experiments, giant, sampler, truncpoisson as tp
-from gnmd.seeding import make_rng
+from gnmd import components, experiments, giant, sampler, truncpoisson as tp
+from gnmd.seeding import make_rng, trial_rng
 
 
 class TestThresholdRows:
@@ -48,6 +48,12 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             experiments.SweepConfig(**kwargs)
 
+    def test_rounded_up_edge_count_must_be_feasible(self):
+        # m = ceil(2.99 * 11 / 2) = 17, but 3-bounded graphs on 11 vertices
+        # have at most 16 edges.
+        with pytest.raises(ValueError, match="mu=2.99"):
+            experiments.SweepConfig(d=3, mu_grid=(2.99,), n=11, trials=1, master_seed=1)
+
 
 class TestRunSweep:
     CONFIG = experiments.SweepConfig(
@@ -74,6 +80,21 @@ class TestRunSweep:
         a = experiments.run_sweep(self.CONFIG)
         b = experiments.run_sweep(self.CONFIG)
         assert a == b
+
+    def test_trials_keep_their_streams(self):
+        # Trial t of grid point k runs on stream k * trials + t.
+        cfg = self.CONFIG
+        rows = experiments.run_sweep(cfg)
+        for k, row in enumerate(rows):
+            largest = [
+                components.report(
+                    sampler.sample_graph(
+                        cfg.n, row.m, cfg.d, trial_rng(cfg.master_seed, k * cfg.trials + t)
+                    )
+                ).largest_fraction
+                for t in range(cfg.trials)
+            ]
+            assert row.mean_largest_frac == float(np.mean(largest))
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
         serial = experiments.run_sweep(self.CONFIG)
@@ -130,6 +151,18 @@ class TestPercolationDuel:
     def test_requires_d_at_least_three(self):
         with pytest.raises(ValueError):
             experiments.run_percolation_duel(2, [0.5], n=100, trials=1, master_seed=0)
+
+    def test_rounded_up_edge_count_must_be_feasible(self):
+        with pytest.raises(ValueError, match="mu=2.99"):
+            experiments.run_percolation_duel(
+                3, [1.2, 2.99], n=11, trials=1, master_seed=0
+            )
+
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        args = (4, [0.5, 1.2], 300, 2, 8)
+        serial = experiments.run_percolation_duel(*args)
+        monkeypatch.setenv("GNMD_WORKERS", "2")
+        assert serial == experiments.run_percolation_duel(*args)
 
     def test_csv_schema(self, tmp_path):
         rows = experiments.run_percolation_duel(

@@ -17,6 +17,31 @@ LAW_GRID = [
 ]
 
 
+def fixed_point_theta(law):
+    """Reference theta = 1 - G0(xi), with xi = G1(xi) bisected on [0, 1/2].
+
+    Valid where the root lies below 1/2, as it does deep in the
+    supercritical phase.
+    """
+    i = np.arange(law.probs.size)
+    size_biased = i[1:] * law.probs[1:] / law.mu
+
+    def excess(x):
+        return float(size_biased @ x ** (i[1:] - 1)) - x
+
+    lo, hi = 0.0, 0.5
+    assert excess(lo) > 0 > excess(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if excess(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 1.0 - float(law.probs @ lo**i)
+
+
 class TestExplorationFrontier:
     def test_vanishes_at_zero(self):
         for law in LAW_GRID:
@@ -79,6 +104,22 @@ class TestFrontierRoot:
     def test_rejects_subcritical_law(self):
         with pytest.raises(ValueError):
             giant.frontier_root(tp.make_degree_law(4, 0.9))
+
+    @pytest.mark.parametrize("d", range(3, 21))
+    def test_root_of_the_frontier_for_every_degree(self, d):
+        crit = tp.critical_mean_degree(d)
+        for mu in (crit + 0.01, (crit + d) / 2, d - 0.1):
+            law = tp.make_degree_law(d, mu)
+            root = giant.frontier_root(law)
+            assert 0.0 < root <= law.mu / 2 + 1e-12
+            assert abs(giant.exploration_frontier(law, root)) <= 1e-12
+            assert giant.exploration_frontier(law, root / 2) > 0
+
+    def test_root_next_to_the_threshold(self):
+        # Reference from 60-digit arithmetic on the same float mu.  The
+        # root xi lies 4e-6 below the root xi = 1 that every law has.
+        pred = giant.predict(20, tp.critical_mean_degree(20) + 2e-6)
+        assert pred.giant_fraction == pytest.approx(3.9999893334675e-6, rel=1e-6)
 
 
 class TestGiantFraction:
@@ -144,6 +185,17 @@ class TestPredict:
         for d, mu in [(3, 1.5), (4, 0.9), (7, 4.2)]:
             pred = giant.predict(d, mu)
             assert abs(pred.degree_mean - mu) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "d, mu",
+        [(8, 5.0), (3, 2.9), (4, 3.5), (4, 3.9), (5, 4.5), (5, 4.9), (6, 5.5), (7, 6.5), (8, 7.5)],
+    )
+    def test_dense_regime_matches_fixed_point(self, d, mu):
+        pred = giant.predict(d, mu)
+        assert pred.giant_fraction == pytest.approx(fixed_point_theta(pred.law), rel=1e-9)
+
+    def test_dense_regime_pinned_value(self):
+        assert giant.predict(8, 5.0).giant_fraction == pytest.approx(0.9954502132, abs=1e-10)
 
     def test_near_threshold_fraction_is_small(self):
         pred = giant.predict(4, 1.06)

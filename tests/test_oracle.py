@@ -2,9 +2,14 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import chdtri
 
 from gnmd import oracle, sampler, truncpoisson as tp
 from gnmd.seeding import make_rng
@@ -155,6 +160,19 @@ class TestUniformityTest:
         assert tuple(tuple(e) for e in g.edges.tolist()) == ens.graphs[0]
         with pytest.raises(ValueError):
             oracle.uniformity_test(ens, 1_000, seed=0)
+
+    @pytest.mark.parametrize("dof", [1, 2, 10, 2696, 100_000])
+    def test_quantile_is_the_chi_square_quantile(self, dof):
+        from scipy import stats
+
+        assert chdtri(dof, 0.001) == pytest.approx(stats.chi2.ppf(0.999, dof), rel=1e-14)
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs most of the package's import time and memory.
+        src = Path(oracle.__file__).resolve().parents[1]
+        code = "import sys, gnmd; assert 'scipy.stats' not in sys.modules"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
     def test_requires_enough_trials(self):
         ens = oracle.enumerate_graphs(5, 4, 2)

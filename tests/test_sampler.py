@@ -162,6 +162,19 @@ class TestSampleGraph:
         codes = g.edges[:, 0] * g.n + g.edges[:, 1]
         assert (np.diff(codes) > 0).all()
 
+    def test_canonical_form_is_the_sorted_edge_set(self):
+        rng = make_rng(3)
+        checked = 0
+        while checked < 20:
+            x = sampler.sample_degree_sequence(60, 50, 4, rng)
+            pairing = sampler.pair_configuration(x, rng)
+            if not sampler.is_simple(pairing):
+                continue
+            g = sampler._simple_graph_from_multigraph(pairing, 4)
+            expected = sorted(sorted(e) for e in pairing.edges.tolist())
+            assert g.edges.tolist() == expected
+            checked += 1
+
     def test_adjacency_consistent_with_edges(self):
         g = sampler.sample_graph(30, 25, 4, make_rng(1))
         adj = g.adjacency()
