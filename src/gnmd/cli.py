@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+import time
 
 import numpy as np
 
@@ -120,11 +121,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
                 fh.write("\n")
         print(f"wrote ensemble to {args.out}")
     if args.trials:
+        start = time.perf_counter()
         rep = oracle.uniformity_test(ensemble, args.trials, args.seed)
+        wall = time.perf_counter() - start
         print(f"trials={rep.trials} tv_distance={rep.tv_distance:.6g}")
         print(f"chi_square={rep.chi_square:.6g} dof={rep.dof} "
               f"q999={rep.chi_square_q999:.6g} "
               f"{'OK' if rep.chi_square_ok else 'EXCEEDED'}")
+        print(f"never_sampled={rep.never_sampled} observed_min={rep.observed_min} "
+              f"observed_max={rep.observed_max}")
+        print(f"wall_s={wall:.4g} draws_per_s={rep.trials / wall:.4g}")
     return 0
 
 

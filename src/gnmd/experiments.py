@@ -336,6 +336,11 @@ def run_percolation_duel(
     threshold sits at mean degree 1 + 1/(d-1); the fixed-edge-count
     model's threshold is the critical mean degree, which is much smaller
     for large d.
+
+    Raises:
+        ValueError: Before any graph is sampled, if d < 3, a mu lies
+            outside (0, d) or has no feasible edge count, or n*d is odd
+            (no d-regular graph exists).
     """
     if d < 3:
         raise ValueError(f"duel requires d >= 3, got {d}")
@@ -343,6 +348,10 @@ def run_percolation_duel(
     if any(not (0.0 < v < d) for v in grid):
         raise ValueError(f"every mu must lie in (0, {d})")
     ms = [_edge_count(mu, n, d) for mu in grid]
+    if (n * d) % 2:
+        raise ValueError(
+            f"n*d must be even for the d-regular side of the duel, got n={n}, d={d}"
+        )
     args = [
         (d, n, m, mu, master_seed, grid_index * trials + t)
         for grid_index, (mu, m) in enumerate(zip(grid, ms))

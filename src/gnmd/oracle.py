@@ -183,6 +183,44 @@ class UniformityReport:
         return self.chi_square <= self.chi_square_q999
 
 
+def _graph_keys(codes: np.ndarray) -> np.ndarray:
+    """One uint64 per row of edge codes: the OR of 1 << code over the row.
+
+    Injective on sets of codes below 64, which every code u*n + v is when
+    n <= MAX_ENUM_VERTICES.  Built column by column, so no temporary of
+    the full (rows, m) shape is made.
+    """
+    keys = np.zeros(codes.shape[0], dtype=np.uint64)
+    one = np.uint64(1)
+    for column in codes.T:
+        keys |= one << column.astype(np.uint64)
+    return keys
+
+
+def _tally(ensemble: EnumeratedEnsemble, codes: np.ndarray) -> np.ndarray:
+    """How often each ensemble graph occurs among the rows of `codes`.
+
+    Raises:
+        RuntimeError: If a row is not a graph of the ensemble.
+    """
+    ensemble_keys = _graph_keys(ensemble.edge_codes)
+    order = np.argsort(ensemble_keys)
+    sorted_keys = ensemble_keys[order]
+    keys = _graph_keys(codes)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    alien = np.nonzero(sorted_keys[pos] != keys)[0]
+    if alien.size:
+        row = codes[alien[0]]
+        decoded = [(int(code) // ensemble.n, int(code) % ensemble.n) for code in row]
+        raise RuntimeError(
+            f"sampled graph {decoded} is not in the enumerated ensemble; "
+            "the sampler violates its support"
+        )
+    observed = np.zeros(ensemble.count, dtype=np.int64)
+    observed[order] = np.bincount(pos, minlength=ensemble.count)
+    return observed
+
+
 def uniformity_test(
     ensemble: EnumeratedEnsemble,
     trials: int,
@@ -195,11 +233,16 @@ def uniformity_test(
     freedom (plus its 0.999 reference quantile).
 
     Raises:
-        ValueError: If the ensemble has fewer than 2 graphs or trials is
-            below 100 per graph.
+        ValueError: If the ensemble has more than MAX_ENUM_VERTICES
+            vertices or fewer than 2 graphs, or trials is below 100 per
+            graph.
         RuntimeError: If a sampled graph is missing from the ensemble,
             which would mean the sampler or the enumeration is wrong.
     """
+    if ensemble.n > MAX_ENUM_VERTICES:
+        raise ValueError(
+            f"uniformity test supports n <= {MAX_ENUM_VERTICES}, got n={ensemble.n}"
+        )
     if ensemble.count < 2:
         raise ValueError("uniformity test needs an ensemble with >= 2 graphs")
     if trials < 100 * ensemble.count:
@@ -211,18 +254,7 @@ def uniformity_test(
     codes = sampler_mod.sample_edge_codes(
         ensemble.n, ensemble.m, ensemble.d, trials, rng
     )
-    index = {row.tobytes(): i for i, row in enumerate(ensemble.edge_codes)}
-    observed = np.zeros(ensemble.count, dtype=np.int64)
-    unique_rows, row_counts = np.unique(codes, axis=0, return_counts=True)
-    for row, c in zip(unique_rows, row_counts):
-        i = index.get(row.tobytes())
-        if i is None:
-            decoded = [(int(code) // ensemble.n, int(code) % ensemble.n) for code in row]
-            raise RuntimeError(
-                f"sampled graph {decoded} is not in the enumerated ensemble; "
-                "the sampler violates its support"
-            )
-        observed[i] = c
+    observed = _tally(ensemble, codes)
     expected = trials / ensemble.count
     tv = 0.5 * float(np.abs(observed / trials - 1.0 / ensemble.count).sum())
     chi2 = float(((observed - expected) ** 2 / expected).sum())

@@ -21,13 +21,20 @@ per-attempt probability and rejection preserves the proportionality.
 Re-pairing a kept sequence would instead bias graphs by the sequence's
 simplicity probability.
 
-The conditioning step is implemented through the degree histogram: the
-class counts of an i.i.d. degree vector are multinomial, the sum
-constraint depends on the histogram alone, and conditionally on the
-histogram the vector is a uniformly random arrangement.  Drawing
-(histogram, then arrangement) is therefore distributionally identical to
-vector-level rejection while costing O(d) instead of O(n) per rejected
-attempt.
+The scalar sampler conditions through the degree histogram: the class
+counts of an i.i.d. degree vector are multinomial, the sum constraint
+depends on the histogram alone, and conditionally on the histogram the
+vector is a uniformly random arrangement.  Drawing (histogram, then
+arrangement) is therefore distributionally identical to vector-level
+rejection while costing O(d) instead of O(n) per rejected attempt, which
+matters at large n.
+
+The bulk sampler for tiny instances (sample_edge_codes) conditions at
+vector level instead: it draws n i.i.d. degrees per attempt by inverse CDF
+and keeps the vectors that sum to 2m.  That is the conditional law by
+definition, arrangement included, and at small n a whole batch of
+vectors costs less than a batch of multinomial histograms followed by
+their arrangements.
 """
 
 from __future__ import annotations
@@ -350,6 +357,29 @@ def sample_graph(
     )
 
 
+def _conditioned_degree_rows(
+    n: int,
+    target_sum: int,
+    cum: np.ndarray,
+    rows: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Draw `rows` i.i.d. degree vectors; return those summing to target_sum.
+
+    Each degree is the inverse-CDF image of one uniform draw, the smallest
+    i with cum[i] >= u (the convention of truncpoisson.sample_degree),
+    computed as d comparisons against the cumulative probabilities.  The
+    draws are laid out vertex-major, (n, rows), so every comparison and
+    the row sums run along long contiguous vectors.  The kept rows are
+    returned as a (k, n) array, k <= rows.
+    """
+    u = rng.random((n, rows))
+    degrees = (u > cum[0]).astype(np.int64)
+    for c in cum[1:-1]:
+        degrees += u > c
+    return degrees[:, degrees.sum(axis=0) == target_sum].T
+
+
 def sample_edge_codes(
     n: int,
     m: int,
@@ -362,10 +392,16 @@ def sample_edge_codes(
 
     Row k holds the k-th sampled graph as its m edge codes u*n + v
     (u < v), sorted ascending -- the same canonical form SimpleGraph uses.
-    The sampling process is the one sample_graph runs (fresh sequence and
-    pairing per attempt, keep the simple ones, in attempt order), executed
-    on whole batches of attempts at once so that tiny instances can be
+    Every attempt draws a fresh degree sequence and a fresh pairing and
+    keeps the simple results in attempt order, like sample_graph, but on
+    whole batches of attempts at once, so that tiny instances can be
     sampled millions of times in vectorized numpy.
+
+    The degree sequence is conditioned at vector level: n i.i.d.
+    truncated Poisson degrees per attempt, kept when they sum to 2m.  This
+    is the conditional law itself, arrangement included, so the output has
+    the same distribution as sample_graph's histogram route; only the
+    random stream differs.
 
     Intended for uniformity testing at small n; memory per chunk scales
     with chunk_rows * n.
@@ -377,8 +413,7 @@ def sample_edge_codes(
         chunk_rows = max(64, min(8192, 4_000_000 // max(n, 2 * m)))
     regular = 2 * m == d * n
     if not regular:
-        law = truncpoisson.make_degree_law(d, 2 * m / n)
-        weights = np.arange(d + 1)
+        cum = truncpoisson.make_degree_law(d, 2 * m / n).cumulative()
     vertex_row = np.arange(n)
 
     out = np.empty((count, m), dtype=np.int64)
@@ -397,30 +432,18 @@ def sample_edge_codes(
         if regular:
             degmat = np.full((chunk_rows, n), d, dtype=np.int64)
         else:
-            counts = rng.multinomial(n, law.probs, size=chunk_rows)
-            ok = np.nonzero(counts @ weights == 2 * m)[0]
-            if ok.size == 0:
-                continue
-            counts = counts[ok]
-            k = counts.shape[0]
-            degmat = np.repeat(
-                np.tile(np.arange(d + 1), k), counts.ravel()
-            ).reshape(k, n)
-            degmat = rng.permuted(degmat, axis=1)
+            degmat = _conditioned_degree_rows(n, 2 * m, cum, chunk_rows, rng)
         k = degmat.shape[0]
         tokens = np.repeat(np.tile(vertex_row, k), degmat.ravel()).reshape(k, 2 * m)
         tokens = rng.permuted(tokens, axis=1)
         u = tokens[:, 0::2]
         v = tokens[:, 1::2]
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        codes = np.sort(lo * n + hi, axis=1)
-        loops = np.any(lo == hi, axis=1)
-        if m > 1:
-            dups = np.any(np.diff(codes, axis=1) == 0, axis=1)
-        else:
-            dups = np.zeros(k, dtype=bool)
-        good = codes[~(loops | dups)]
+        # Any defect discards the whole attempt, so only loop-free rows
+        # need the sort behind the duplicate check.
+        loop_free = ~np.any(u == v, axis=1)
+        u, v = u[loop_free], v[loop_free]
+        codes = np.sort(np.minimum(u, v) * n + np.maximum(u, v), axis=1)
+        good = codes[~np.any(np.diff(codes, axis=1) == 0, axis=1)]
         take = min(good.shape[0], count - filled)
         out[filled : filled + take] = good[:take]
         filled += take

@@ -127,6 +127,21 @@ class TestDuelCommand:
         assert "perc_mean_largest_frac" in lines[0]
         assert len(lines) == 3
 
+    def test_odd_regular_degree_sum_is_one_json_error(self, tmp_path, capsys):
+        out = tmp_path / "duel.csv"
+        assert run_cli([
+            "duel", "--d", "3", "--mu-from", "1.0", "--mu-to", "1.0",
+            "--steps", "1", "--n", "11", "--trials", "1",
+            "--seed", "1", "--out", str(out),
+        ]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ValueError"
+        assert "n=11, d=3" in payload["message"]
+        assert captured.out == "" and not out.exists()
+
 
 class TestOracleCommand:
     def test_count_and_uniformity(self, capsys):
@@ -138,6 +153,18 @@ class TestOracleCommand:
         assert "count=16" in out
         assert "tv_distance=" in out
         assert "OK" in out
+        fields = dict(
+            token.split("=", 1)
+            for line in out.splitlines()[1:]
+            for token in line.split()
+            if "=" in token
+        )
+        assert int(fields["never_sampled"]) == 0
+        lo, hi = int(fields["observed_min"]), int(fields["observed_max"])
+        assert 0 < lo <= 2000 / 16 <= hi
+        wall, rate = float(fields["wall_s"]), float(fields["draws_per_s"])
+        assert wall > 0 and rate > 0
+        assert rate * wall == pytest.approx(2000, rel=0.01)
 
     def test_ensemble_file_blocks(self, tmp_path, capsys):
         out = tmp_path / "ens.txt"

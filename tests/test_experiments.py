@@ -158,6 +158,14 @@ class TestPercolationDuel:
                 3, [1.2, 2.99], n=11, trials=1, master_seed=0
             )
 
+    def test_odd_regular_degree_sum_rejected_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("a graph was sampled before the input check")
+
+        monkeypatch.setattr(experiments.sampler, "sample_graph", no_sampling)
+        with pytest.raises(ValueError, match="n=11, d=3"):
+            experiments.run_percolation_duel(3, [1.0], n=11, trials=1, master_seed=1)
+
     def test_worker_count_does_not_change_results(self, monkeypatch):
         args = (4, [0.5, 1.2], 300, 2, 8)
         serial = experiments.run_percolation_duel(*args)

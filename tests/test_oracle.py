@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
@@ -192,3 +193,40 @@ class TestUniformityTest:
         )
         with pytest.raises(RuntimeError):
             oracle.uniformity_test(truncated, 2_000, seed=1)
+
+    def test_alien_graph_past_the_last_key_is_a_hard_failure(self):
+        # Drop the graph whose bitmask key sum(2^code) is the largest, so a
+        # draw of it searches past the end of the sorted ensemble keys.
+        ens = oracle.enumerate_graphs(4, 3, 2)
+        keys = [sum(1 << int(c) for c in row) for row in ens.edge_codes]
+        drop = keys.index(max(keys))
+        keep = [i for i in range(ens.count) if i != drop]
+        truncated = oracle.EnumeratedEnsemble(
+            n=4,
+            m=3,
+            d=2,
+            graphs=tuple(ens.graphs[i] for i in keep),
+            edge_codes=ens.edge_codes[keep],
+        )
+        with pytest.raises(RuntimeError, match="not in the enumerated ensemble"):
+            oracle.uniformity_test(truncated, 2_000, seed=1)
+
+    def test_rejects_ensembles_beyond_the_key_width(self):
+        # Graph keys are 64-bit masks over codes below n^2, so n <= 8.
+        ens = oracle.EnumeratedEnsemble(
+            n=9,
+            m=1,
+            d=1,
+            graphs=(((0, 1),), ((0, 2),)),
+            edge_codes=np.array([[1], [2]], dtype=np.int64),
+        )
+        with pytest.raises(ValueError, match="n <= 8"):
+            oracle.uniformity_test(ens, 1_000, seed=0)
+
+    def test_tally_matches_a_counter_over_rows(self):
+        ens = oracle.enumerate_graphs(5, 4, 2)
+        codes = sampler.sample_edge_codes(5, 4, 2, 3_000, make_rng(5))
+        counts = Counter(tuple(row) for row in codes.tolist())
+        expected = [counts[tuple(row)] for row in ens.edge_codes.tolist()]
+        assert oracle._tally(ens, codes).tolist() == expected
+        assert sum(expected) == codes.shape[0]

@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.special import chdtri
 
 from gnmd import oracle, sampler, truncpoisson as tp
 from gnmd.seeding import make_rng, trial_rng
@@ -232,6 +233,23 @@ class TestBulkSampler:
             bulk[index[row.tobytes()]] += 1
         np.testing.assert_allclose(scalar / trials, bulk / trials, atol=0.03)
         np.testing.assert_allclose(scalar / trials, 1 / ens.count, atol=0.03)
+
+    @pytest.mark.parametrize("n,m,d", [(6, 5, 3), (8, 9, 4)])
+    def test_conditioned_degree_rows_match_the_conditional_law(self, n, m, d):
+        # Kept rows are feasible sequences, and the first vertex's degree
+        # follows the exact P(Z_1 = k | sum = 2m) in a chi-square test.
+        law = tp.make_degree_law(d, 2 * m / n)
+        rows = sampler._conditioned_degree_rows(
+            n, 2 * m, law.cumulative(), 200_000, make_rng(n * 100 + d)
+        )
+        assert rows.shape[1] == n and rows.shape[0] > 10_000
+        assert (rows.sum(axis=1) == 2 * m).all()
+        assert rows.min() >= 0 and rows.max() <= d
+        exact = oracle.conditional_marginal(n, 2 * m, d, law.lam)
+        observed = np.bincount(rows[:, 0], minlength=d + 1)
+        expected = exact * rows.shape[0]
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2 <= chdtri(d, 0.001)
 
     def test_regular_instance(self):
         codes = sampler.sample_edge_codes(8, 12, 3, 50, make_rng(9))
