@@ -33,6 +33,11 @@ __all__ = [
 ENUMERATION_GUARD = 10**8
 MAX_ENUM_VERTICES = 8
 
+#: Draws that uniformity_test asks the sampler for at a time.  Each block
+#: is tallied before the next is drawn, so memory stays O(block * m)
+#: whatever the trial count.
+_TALLY_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class EnumeratedEnsemble:
@@ -197,27 +202,41 @@ def _graph_keys(codes: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _tally(ensemble: EnumeratedEnsemble, codes: np.ndarray) -> np.ndarray:
+def _key_index(ensemble: EnumeratedEnsemble) -> tuple[np.ndarray, np.ndarray]:
+    """The ensemble's graph keys in ascending order, and the graph index of each."""
+    keys = _graph_keys(ensemble.edge_codes)
+    order = np.argsort(keys)
+    return keys[order], order
+
+
+def _tally(
+    ensemble: EnumeratedEnsemble,
+    index: tuple[np.ndarray, np.ndarray],
+    codes: np.ndarray,
+) -> np.ndarray:
     """How often each ensemble graph occurs among the rows of `codes`.
+
+    `index` is the ensemble's _key_index, built once per ensemble.  Only
+    the distinct keys of `codes` are looked up: sorted, they search the
+    ensemble keys several times faster than the raw rows do.
 
     Raises:
         RuntimeError: If a row is not a graph of the ensemble.
     """
-    ensemble_keys = _graph_keys(ensemble.edge_codes)
-    order = np.argsort(ensemble_keys)
-    sorted_keys = ensemble_keys[order]
-    keys = _graph_keys(codes)
+    sorted_keys, order = index
+    row_keys = _graph_keys(codes)
+    keys, counts = np.unique(row_keys, return_counts=True)
     pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
     alien = np.nonzero(sorted_keys[pos] != keys)[0]
     if alien.size:
-        row = codes[alien[0]]
+        row = codes[np.argmax(row_keys == keys[alien[0]])]
         decoded = [(int(code) // ensemble.n, int(code) % ensemble.n) for code in row]
         raise RuntimeError(
             f"sampled graph {decoded} is not in the enumerated ensemble; "
             "the sampler violates its support"
         )
     observed = np.zeros(ensemble.count, dtype=np.int64)
-    observed[order] = np.bincount(pos, minlength=ensemble.count)
+    observed[order[pos]] = counts
     return observed
 
 
@@ -231,6 +250,13 @@ def uniformity_test(
     Reports total-variation distance to the uniform distribution over the
     ensemble and the chi-square statistic with count - 1 degrees of
     freedom (plus its 0.999 reference quantile).
+
+    The graphs come from sampler.sample_edge_codes, whose bulk kernel
+    completes the last degree of each attempt by acceptance (see its
+    docstring for why that keeps the law exact), in blocks of
+    _TALLY_BLOCK draws from one generator.  Each block is tallied by graph
+    key before the next is drawn, so memory is O(_TALLY_BLOCK * m) for any
+    trial count, and the ensemble keys are sorted once.
 
     Raises:
         ValueError: If the ensemble has more than MAX_ENUM_VERTICES
@@ -251,10 +277,17 @@ def uniformity_test(
             f"graphs, got {trials}"
         )
     rng = make_rng(seed)
-    codes = sampler_mod.sample_edge_codes(
-        ensemble.n, ensemble.m, ensemble.d, trials, rng
-    )
-    observed = _tally(ensemble, codes)
+    index = _key_index(ensemble)
+    observed = np.zeros(ensemble.count, dtype=np.int64)
+    for start in range(0, trials, _TALLY_BLOCK):
+        codes = sampler_mod.sample_edge_codes(
+            ensemble.n,
+            ensemble.m,
+            ensemble.d,
+            min(_TALLY_BLOCK, trials - start),
+            rng,
+        )
+        observed += _tally(ensemble, index, codes)
     expected = trials / ensemble.count
     tv = 0.5 * float(np.abs(observed / trials - 1.0 / ensemble.count).sum())
     chi2 = float(((observed - expected) ** 2 / expected).sum())

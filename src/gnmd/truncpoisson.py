@@ -53,8 +53,10 @@ class DegreeLaw:
         lam: Poisson rate parameter (lam > 0).
         mu: Mean of the law; always equals mean(d, lam) and lies in (0, d).
         probs: Probability vector of length d + 1 with
-            probs[i] = lam^i / (i! * s_d(lam)).  All entries are positive
-            and sum to 1.
+            probs[i] = lam^i / (i! * s_d(lam)).  All entries are finite,
+            non-negative and sum to 1.  law_from_rate gives an entry 0
+            only when its term lam^i / i! underflows, so the mass a zero
+            class drops is below 1e-300.
     """
 
     d: int
@@ -72,8 +74,8 @@ class DegreeLaw:
             raise ValueError(
                 f"probs must have length d + 1 = {self.d + 1}, got {probs.shape}"
             )
-        if not np.all(probs > 0):
-            raise ValueError("all degree-class probabilities must be positive")
+        if not np.all(np.isfinite(probs) & (probs >= 0)):
+            raise ValueError("degree-class probabilities must be finite and >= 0")
         if abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError(f"probs must sum to 1, got {probs.sum()!r}")
         mu = float(np.arange(self.d + 1) @ probs)

@@ -223,10 +223,28 @@ class TestUniformityTest:
         with pytest.raises(ValueError, match="n <= 8"):
             oracle.uniformity_test(ens, 1_000, seed=0)
 
+    def test_draws_are_asked_for_block_by_block(self, monkeypatch):
+        # Memory stays O(block * m): no call asks for more than one block,
+        # and the blocks add up to the trial count.
+        asked = []
+        draw = sampler.sample_edge_codes
+
+        def recorder(n, m, d, count, rng):
+            asked.append(count)
+            return draw(n, m, d, count, rng)
+
+        monkeypatch.setattr(oracle.sampler_mod, "sample_edge_codes", recorder)
+        ens = oracle.enumerate_graphs(5, 4, 2)
+        trials = 2 * oracle._TALLY_BLOCK + 123
+        rep = oracle.uniformity_test(ens, trials, seed=3)
+        assert rep.trials == trials
+        assert max(asked) <= oracle._TALLY_BLOCK
+        assert sum(asked) == trials and len(asked) == 3
+
     def test_tally_matches_a_counter_over_rows(self):
         ens = oracle.enumerate_graphs(5, 4, 2)
         codes = sampler.sample_edge_codes(5, 4, 2, 3_000, make_rng(5))
         counts = Counter(tuple(row) for row in codes.tolist())
         expected = [counts[tuple(row)] for row in ens.edge_codes.tolist()]
-        assert oracle._tally(ens, codes).tolist() == expected
+        assert oracle._tally(ens, oracle._key_index(ens), codes).tolist() == expected
         assert sum(expected) == codes.shape[0]

@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import chdtri
 
 from gnmd import oracle, sampler, truncpoisson as tp
@@ -27,6 +28,21 @@ class TestSampleDegreeSequence:
             x = sampler.sample_degree_sequence(50, 40, 4, make_rng(seed))
             assert int(x.degrees.sum()) == 80
             assert x.degrees.max() <= 4
+
+    def test_counted_draws_match_the_conditioning_rate(self):
+        # The draws counted per sequence are geometric with success
+        # probability P(sum = 2m) ~ 1/sqrt(2 pi n sigma^2) (local limit
+        # theorem; 0.00380 here, mean-matched so 2m is the mean).  Counting
+        # whole batches of 256 would read ~0.0024.
+        n, m, d = 10_000, 6_000, 4
+        law = tp.make_degree_law(d, 2 * m / n)
+        predicted = 1.0 / math.sqrt(2 * math.pi * n * tp.variance(law))
+        stats = sampler.SamplerStats()
+        rng = make_rng(2718)
+        sequences = 2_000
+        for _ in range(sequences):
+            sampler.sample_degree_sequence(n, m, d, rng, stats)
+        assert sequences / stats.histogram_draws == pytest.approx(predicted, rel=0.1)
 
     def test_regular_boundary_is_point_mass(self):
         x = sampler.sample_degree_sequence(6, 6, 2, make_rng(0))
@@ -193,6 +209,11 @@ class TestSampleGraph:
         assert stats.histogram_draws >= 1
         assert 0.0 <= stats.alpha_mean <= 4.0
 
+    def test_degree_law_with_underflowed_classes(self):
+        # At mean degree 2e-5 every class above 53 has lam^j / j! = 0.
+        g = sampler.sample_graph(10**5, 1, 60, make_rng(11))
+        assert g.m == 1 and g.edges[0, 0] < g.edges[0, 1]
+
     def test_empty_ensemble_trips_retry_cap(self):
         # n=1, m=1, d=2 forces a loop every time; no simple graph exists.
         with pytest.raises(sampler.SamplingError):
@@ -234,10 +255,12 @@ class TestBulkSampler:
         np.testing.assert_allclose(scalar / trials, bulk / trials, atol=0.03)
         np.testing.assert_allclose(scalar / trials, 1 / ens.count, atol=0.03)
 
-    @pytest.mark.parametrize("n,m,d", [(6, 5, 3), (8, 9, 4)])
+    @pytest.mark.parametrize("n,m,d", [(6, 5, 3), (8, 9, 4), (7, 5, 2)])
     def test_conditioned_degree_rows_match_the_conditional_law(self, n, m, d):
-        # Kept rows are feasible sequences, and the first vertex's degree
-        # follows the exact P(Z_1 = k | sum = 2m) in a chi-square test.
+        # Kept rows are feasible sequences, and every vertex's degree
+        # follows the exact P(Z_i = k | sum = 2m) in a chi-square test.
+        # The last vertex matters most: its degree completes the sum and
+        # is kept with probability p(last) / max(p).
         law = tp.make_degree_law(d, 2 * m / n)
         rows = sampler._conditioned_degree_rows(
             n, 2 * m, law.cumulative(), 200_000, make_rng(n * 100 + d)
@@ -246,10 +269,11 @@ class TestBulkSampler:
         assert (rows.sum(axis=1) == 2 * m).all()
         assert rows.min() >= 0 and rows.max() <= d
         exact = oracle.conditional_marginal(n, 2 * m, d, law.lam)
-        observed = np.bincount(rows[:, 0], minlength=d + 1)
         expected = exact * rows.shape[0]
-        chi2 = float(((observed - expected) ** 2 / expected).sum())
-        assert chi2 <= chdtri(d, 0.001)
+        for vertex in range(n):
+            observed = np.bincount(rows[:, vertex], minlength=d + 1)
+            chi2 = float(((observed - expected) ** 2 / expected).sum())
+            assert chi2 <= chdtri(d, 0.001), f"vertex {vertex}: chi2 {chi2:.1f}"
 
     def test_regular_instance(self):
         codes = sampler.sample_edge_codes(8, 12, 3, 50, make_rng(9))
@@ -257,6 +281,38 @@ class TestBulkSampler:
             u, v = row // 8, row % 8
             degrees = np.bincount(np.concatenate([u, v]), minlength=8)
             assert (degrees == 3).all()
+
+
+@st.composite
+def tiny_instances(draw):
+    """(n, m, d) with n <= 6 and d < n, regular (2m = dn) ones included.
+
+    With d < n every instance with 2m <= dn has a simple graph, and every
+    other one is infeasible.
+    """
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(1, n - 1))
+    if d * n % 2 == 0 and draw(st.booleans()):
+        return n, d * n // 2, d
+    return n, draw(st.integers(1, math.comb(n, 2))), d
+
+
+class TestBulkSamplerProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(instance=tiny_instances(), seed=st.integers(0, 2**32 - 1))
+    @example(instance=(3, 1, 1), seed=0)  # d = 1 once raised make_degree_law's floor
+    def test_canonical_rows_in_the_ensemble_or_infeasible(self, instance, seed):
+        n, m, d = instance
+        if 2 * m > d * n:
+            with pytest.raises(ValueError, match="infeasible"):
+                sampler.sample_edge_codes(n, m, d, 20, make_rng(seed))
+            return
+        codes = sampler.sample_edge_codes(n, m, d, 20, make_rng(seed))
+        assert codes.shape == (20, m)
+        assert (np.diff(codes, axis=1) > 0).all()
+        ensemble = oracle.enumerate_graphs(n, m, d)
+        support = {tuple(row) for row in ensemble.edge_codes.tolist()}
+        assert {tuple(row) for row in codes.tolist()} <= support
 
 
 class TestGraphFileFormat:

@@ -133,6 +133,30 @@ class TestDegreeLaw:
         with pytest.raises(ValueError):
             tp.make_degree_law(d, mu)
 
+    def test_underflowed_classes_carry_zero_mass(self):
+        # lam^j / j! underflows to 0 past j ~ 170 at lam = 1; the true mass
+        # of those classes is far below 1e-300.
+        law = tp.make_degree_law(400, 1.0)
+        assert law.probs[0] > 0 and law.probs[-1] == 0.0
+        assert law.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert law.mu == pytest.approx(1.0, abs=1e-12)
+        expected = [1 / math.factorial(i) / math.e for i in range(10)]
+        np.testing.assert_allclose(law.probs[:10], expected, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "probs,message",
+        [
+            ([-0.1, 0.6, 0.5], "finite and >= 0"),
+            ([math.nan, 0.5, 0.5], "finite and >= 0"),
+            ([0.2, 0.3, 0.3], "sum to 1"),
+        ],
+        ids=["negative", "nan", "mis-summed"],
+    )
+    def test_law_validation_rejects_bad_probability_vectors(self, probs, message):
+        mu = float(np.arange(3) @ np.array(probs))
+        with pytest.raises(ValueError, match=message):
+            tp.DegreeLaw(d=2, lam=1.0, mu=mu, probs=probs)
+
     def test_law_validation_rejects_inconsistent_fields(self):
         law = tp.make_degree_law(3, 1.5)
         with pytest.raises(ValueError):
