@@ -17,13 +17,10 @@ from .truncpoisson import (
     mean,
     molloy_reed_q,
     partial_exp_sum,
-    sample_degree,
     variance,
 )
 from .giant import Phase, PhasePrediction, predict
 from .sampler import (
-    DegreeSequence,
-    Multigraph,
     SamplingError,
     SimpleGraph,
     pair_configuration,
@@ -49,12 +46,9 @@ __all__ = [
     "molloy_reed_q",
     "critical_mean_degree",
     "critical_mean_degree_approx",
-    "sample_degree",
     "Phase",
     "PhasePrediction",
     "predict",
-    "DegreeSequence",
-    "Multigraph",
     "SimpleGraph",
     "SamplingError",
     "sample_degree_sequence",

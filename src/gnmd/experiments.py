@@ -303,7 +303,7 @@ def sample_percolated_regular(
         raise ValueError(f"retention probability must lie in [0, 1], got {retain}")
     g = sampler.sample_graph(n, n * d // 2, d, rng)
     keep = rng.random(g.m) < retain
-    return sampler.SimpleGraph(n=n, m=int(keep.sum()), d=d, edges=g.edges[keep])
+    return sampler.SimpleGraph._trusted(n, d, g.edges[keep])
 
 
 def _duel_trial(args: tuple[int, int, int, float, int, int]) -> tuple[float, float, str]:

@@ -1,44 +1,45 @@
 """Exactly uniform sampling of graphs with m edges and max degree at most d.
 
-The sampler runs the classic two-stage scheme:
+One attempt kernel serves both samplers.  It runs a batch of attempts
+through three stages:
 
-1. Draw a degree sequence: n i.i.d. truncated Poisson degrees conditioned
-   on summing to exactly 2m.  The rate is mean-matched to 2m/n, which
-   maximizes the conditioning acceptance rate (any positive rate yields
-   the same conditional law, so this is pure efficiency).  The conditional
-   law weights a sequence x proportionally to 1/prod(x_i!).
-2. Pair half-edges: each vertex gets one token per unit of degree, the
-   2m tokens are shuffled uniformly, and consecutive tokens become edges.
-   Conditional on the result being simple (no loops, no parallel edges),
-   this is uniform over simple graphs with that exact degree sequence.
+1. sample_degree_sequence draws a degree vector per attempt: n i.i.d.
+   truncated Poisson degrees conditioned on summing to exactly 2m.  The
+   rate is mean-matched to 2m/n, which maximizes the conditioning
+   acceptance rate (any positive rate yields the same conditional law, so
+   this is pure efficiency).  The conditional law weights a vector x
+   proportionally to 1/prod(x_i!).
+2. pair_configuration gives each vertex one token per unit of degree,
+   shuffles each attempt's 2m tokens uniformly, and pairs consecutive
+   tokens into edges.
+3. is_simple keeps the attempts with no loop and no parallel edge, each
+   as its sorted edge codes u*n + v (u < v), the canonical form.
 
-On a simplicity failure the whole attempt restarts with a FRESH degree
-sequence.  This full restart is what makes the output exactly uniform:
-per attempt, P(sequence x) is proportional to 1/prod(x_i!) and every
-simple graph with degrees x arises from exactly prod(x_i!) of the
-(2m-1)!! half-edge matchings, so each simple graph is hit with the same
-per-attempt probability and rejection preserves the proportionality.
-Re-pairing a kept sequence would instead bias graphs by the sequence's
-simplicity probability.
+Every attempt draws a FRESH degree vector.  This full restart is what
+makes the output exactly uniform: per attempt, P(vector x) is
+proportional to 1/prod(x_i!) and every simple graph with degrees x arises
+from exactly prod(x_i!) of the (2m-1)!! half-edge matchings, so each
+simple graph is hit with the same per-attempt probability and rejection
+preserves the proportionality.  Re-pairing a kept vector would instead
+bias graphs by the vector's simplicity probability.
 
-The scalar sampler conditions through the degree histogram: the class
-counts of an i.i.d. degree vector are multinomial, the sum constraint
-depends on the histogram alone, and conditionally on the histogram the
-vector is a uniformly random arrangement.  Drawing (histogram, then
-arrangement) is therefore distributionally identical to vector-level
-rejection while costing O(d) instead of O(n) per rejected attempt, which
-matters at large n.
+sample_graph runs the kernel one attempt at a time until an attempt is
+simple; sample_edge_codes runs it on whole chunks of attempts and keeps
+the simple ones in attempt order.  The degree stage conditions on the sum
+by one of two routes, chosen by the batch size:
 
-The bulk sampler for tiny instances (sample_edge_codes) conditions at
-vector level instead: it draws n - 1 i.i.d. degrees per attempt by inverse
-CDF, completes the sum with last = 2m - (their sum), and keeps the vector
-with probability p(last) / max(p) when 0 <= last <= d.  A kept vector x
-then has probability proportional to prod(p(x_i)) on {sum x = 2m}, which
-is the conditional law itself, arrangement included.  At small n a whole
-batch of vectors costs less than a batch of multinomial histograms
-followed by their arrangements, and completing the last degree keeps
-about three times as many attempts at (n, m, d) = (6, 5, 3) as waiting
-for n free draws to hit the sum.
+- One attempt: through the degree histogram.  The class counts of an
+  i.i.d. degree vector are multinomial, the sum constraint depends on the
+  histogram alone, and conditionally on the histogram the vector is a
+  uniformly random arrangement.  Drawing (histogram, then arrangement)
+  costs O(d) per rejected draw instead of O(n), which matters at large n.
+- A batch: by completing the last degree.  Each row draws n - 1 i.i.d.
+  degrees by inverse CDF, sets last = 2m - (their sum), and is kept with
+  probability p(last) / max(p) when 0 <= last <= d.  A kept row x has
+  probability proportional to prod(p(x_i)) on {sum x = 2m}, which is the
+  conditional law itself, arrangement included.
+
+Both routes draw from the same law on different random streams.
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ import numpy as np
 from . import truncpoisson
 
 __all__ = [
-    "DegreeSequence",
-    "Multigraph",
     "SimpleGraph",
     "SamplerStats",
     "SamplingError",
@@ -62,7 +61,6 @@ __all__ = [
     "is_simple",
     "sample_graph",
     "sample_edge_codes",
-    "alpha_diagnostic",
     "write_graph",
     "read_graph",
 ]
@@ -85,53 +83,13 @@ class SamplingError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DegreeSequence:
-    """Degrees for n labeled vertices, each in [0, d], summing to 2m."""
-
-    degrees: np.ndarray
-    n: int
-    m: int
-    d: int
-
-    def __post_init__(self) -> None:
-        degrees = np.array(self.degrees, dtype=np.int64)  # private copy
-        degrees.setflags(write=False)
-        object.__setattr__(self, "degrees", degrees)
-        if degrees.shape != (self.n,):
-            raise ValueError(f"expected {self.n} degrees, got shape {degrees.shape}")
-        if degrees.min(initial=0) < 0 or degrees.max(initial=0) > self.d:
-            raise ValueError(f"degrees must lie in [0, {self.d}]")
-        if int(degrees.sum()) != 2 * self.m:
-            raise ValueError(
-                f"degrees sum to {int(degrees.sum())}, expected 2m = {2 * self.m}"
-            )
-
-
-@dataclass(frozen=True)
-class Multigraph:
-    """m unordered vertex pairs; loops and repeated pairs allowed."""
-
-    edges: np.ndarray  # shape (m, 2), labels in [0, n)
-    n: int
-
-    def __post_init__(self) -> None:
-        edges = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        edges.setflags(write=False)
-        object.__setattr__(self, "edges", edges)
-        if edges.size and (edges.min() < 0 or edges.max() >= self.n):
-            raise ValueError(f"vertex labels must lie in [0, {self.n})")
-
-    @property
-    def m(self) -> int:
-        return self.edges.shape[0]
-
-
-@dataclass(frozen=True)
 class SimpleGraph:
     """Simple labeled graph with max degree at most d.
 
     Edges are stored normalized (u < v) and sorted lexicographically, so
-    the edge array doubles as the graph's canonical form.
+    the edge array doubles as the graph's canonical form.  Construction
+    validates all of this; the sampler builds its own output with the
+    unchecked _trusted instead.
     """
 
     n: int
@@ -156,38 +114,39 @@ class SimpleGraph:
         if self.degrees().max(initial=0) > self.d:
             raise ValueError(f"a vertex exceeds the degree bound {self.d}")
 
+    @classmethod
+    def _trusted(cls, n: int, d: int, edges: np.ndarray) -> SimpleGraph:
+        """Wrap an int64 (m, 2) edge array that is already canonical, unchecked.
+
+        For the kernel's output and for edge subsets of a valid graph.  The
+        array is frozen in place, so the caller must not keep writing to it.
+        """
+        g = object.__new__(cls)
+        edges.setflags(write=False)
+        for name, value in (("n", n), ("m", edges.shape[0]), ("d", d), ("edges", edges)):
+            object.__setattr__(g, name, value)
+        return g
+
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edges.ravel(), minlength=self.n)
-
-    def adjacency(self) -> list[list[int]]:
-        """Per-vertex sorted neighbor lists (built on demand)."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[int(u)].append(int(v))
-            adj[int(v)].append(int(u))
-        for neighbors in adj:
-            neighbors.sort()
-        return adj
 
 
 @dataclass
 class SamplerStats:
     """Counters accumulated across sampling attempts.
 
-    alpha is sum_i x_i(x_i - 1) / (2m) of an attempted degree sequence;
-    its running mean tracks the quantity that controls the simplicity
-    acceptance probability, which is why its sum over attempts is kept.
+    histogram_draws counts the histograms drawn by the one-attempt route,
+    pairings the attempts that reached the pairing stage and simple the
+    ones kept.  alpha is sum_i x_i(x_i - 1) / (2m) of an attempted degree
+    sequence; its running mean tracks the quantity that controls the
+    simplicity acceptance probability, which is why its sum over attempts
+    is kept.
     """
 
     histogram_draws: int = 0
     pairings: int = 0
     simple: int = 0
     alpha_total: float = 0.0
-
-    def record_pairing(self, alpha: float, accepted: bool) -> None:
-        self.pairings += 1
-        self.simple += int(accepted)
-        self.alpha_total += alpha
 
     @property
     def alpha_mean(self) -> float:
@@ -209,6 +168,20 @@ def _check_instance(n: int, m: int, d: int) -> None:
         raise ValueError(
             f"infeasible instance: 2m = {2 * m} exceeds d*n = {d * n}"
         )
+
+
+def _degree_law(n: int, m: int, d: int) -> truncpoisson.DegreeLaw | None:
+    """The instance's mean-matched degree law, after checking the instance.
+
+    Returns None when 2m = dn: the constraint pins every degree to d, and
+    no mean-matched rate exists (d is not an attainable truncated Poisson
+    mean).  The law is make_degree_law's arithmetic without its d >= 2
+    floor: at d = 1 the mean-matched law is just as well defined.
+    """
+    _check_instance(n, m, d)
+    if 2 * m == d * n:
+        return None
+    return truncpoisson.law_from_rate(d, truncpoisson.invert_mean(d, 2 * m / n))
 
 
 def _conditioned_histogram(
@@ -243,128 +216,6 @@ def _conditioned_histogram(
     )
 
 
-def sample_degree_sequence(
-    n: int,
-    m: int,
-    d: int,
-    rng: np.random.Generator,
-    stats: SamplerStats | None = None,
-) -> DegreeSequence:
-    """Draw a degree sequence from the conditioned truncated Poisson law.
-
-    The result is distributed as n i.i.d. truncated Poisson degrees
-    conditioned on summing to 2m, equivalently as the box occupancies of
-    2m balls dropped into n boxes of capacity d: P(x) is proportional to
-    1/prod(x_i!).
-
-    Raises:
-        ValueError: If 2m > d*n (infeasible) or n, m, d are out of range.
-        SamplingError: If the conditioning retry budget (about 10^4 sqrt(n)
-            histogram draws, versus an expected O(sqrt(n))) is exhausted.
-    """
-    _check_instance(n, m, d)
-    if 2 * m == d * n:
-        # The constraint pins every degree to d; the conditional law is a
-        # point mass and no mean-matched rate exists (2m/n = d is not an
-        # attainable truncated Poisson mean).
-        degrees = np.full(n, d, dtype=np.int64)
-        return DegreeSequence(degrees=degrees, n=n, m=m, d=d)
-    law = truncpoisson.make_degree_law(d, 2 * m / n)
-    histogram = _conditioned_histogram(n, 2 * m, law.probs, rng, stats)
-    values = np.repeat(np.arange(d + 1), histogram)
-    degrees = rng.permutation(values)
-    return DegreeSequence(degrees=degrees, n=n, m=m, d=d)
-
-
-def pair_configuration(x: DegreeSequence, rng: np.random.Generator) -> Multigraph:
-    """Uniform configuration pairing of the sequence's half-edges.
-
-    Lays out x_i tokens for vertex i, shuffles all 2m tokens uniformly,
-    and pairs consecutive tokens.  Every perfect matching of the tokens is
-    equally likely.
-    """
-    tokens = np.repeat(np.arange(x.n), x.degrees)
-    rng.shuffle(tokens)
-    return Multigraph(edges=tokens.reshape(-1, 2), n=x.n)
-
-
-def _endpoints(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
-    """Smaller and larger endpoint of every edge.
-
-    Taken column against column: a row-wise min over the (m, 2) array
-    costs about 30 times as much.
-    """
-    u, v = g.edges[:, 0], g.edges[:, 1]
-    return np.minimum(u, v), np.maximum(u, v)
-
-
-def is_simple(g: Multigraph) -> bool:
-    """True iff the multigraph has no loop and no repeated pair."""
-    if g.m == 0:
-        return True
-    lo, hi = _endpoints(g)
-    if np.any(lo == hi):
-        return False
-    codes = np.sort(lo * g.n + hi)
-    return not np.any(np.diff(codes) == 0)
-
-
-def alpha_diagnostic(x: DegreeSequence) -> float:
-    """sum_i x_i(x_i - 1) / (2m), in [0, d].
-
-    Vanishes when all degrees are 0 or 1 and controls the asymptotic
-    simplicity acceptance probability of the configuration pairing.
-    """
-    deg = x.degrees
-    return float((deg * (deg - 1)).sum() / (2 * x.m))
-
-
-def _simple_graph_from_multigraph(g: Multigraph, d: int) -> SimpleGraph:
-    lo, hi = _endpoints(g)
-    codes = np.sort(lo * g.n + hi)
-    edges = np.column_stack(np.divmod(codes, g.n))
-    return SimpleGraph(n=g.n, m=g.m, d=d, edges=edges)
-
-
-def sample_graph(
-    n: int,
-    m: int,
-    d: int,
-    rng: np.random.Generator,
-    stats: SamplerStats | None = None,
-) -> SimpleGraph:
-    """Sample a uniform graph on n vertices with m edges and max degree <= d.
-
-    Repeats {fresh degree sequence; fresh pairing} until the pairing is
-    simple.  Determinism: identical (n, m, d) and generator state produce
-    the identical graph.
-
-    Args:
-        stats: Optional SamplerStats accumulator; records histogram draws,
-            pairing attempts, and the sum of per-attempt alpha diagnostics.
-
-    Raises:
-        ValueError: If the instance is infeasible (2m > dn).
-        SamplingError: If a retry budget is exhausted (pathological
-            parameters, e.g. an instance whose rare feasible sequences
-            almost never pair simply).
-    """
-    _check_instance(n, m, d)
-    for _ in range(SIMPLICITY_CAP):
-        x = sample_degree_sequence(n, m, d, rng, stats)
-        g = pair_configuration(x, rng)
-        ok = is_simple(g)
-        if stats is not None:
-            stats.record_pairing(alpha_diagnostic(x), ok)
-        if ok:
-            return _simple_graph_from_multigraph(g, d)
-    raise SamplingError(
-        f"no simple pairing in {SIMPLICITY_CAP} restarts for "
-        f"(n={n}, m={m}, d={d}); the simple graphs of this instance are "
-        "vanishingly rare under the configuration pairing"
-    )
-
-
 def _conditioned_degree_rows(
     n: int,
     target_sum: int,
@@ -375,16 +226,16 @@ def _conditioned_degree_rows(
     """Draw `rows` degree vectors from the law of n i.i.d. degrees given their sum.
 
     The first n - 1 degrees of a row are i.i.d. inverse-CDF images of one
-    uniform draw each, the smallest i with cum[i] >= u (the convention of
-    truncpoisson.sample_degree), computed as d comparisons against the
-    cumulative probabilities.  The last degree completes the sum,
-    last = target_sum - (sum of the others), and the row is kept with
-    probability p(last) / max(p) when 0 <= last <= d, decided by the row's
-    n-th uniform.  A kept row x therefore has probability proportional to
-    prod(p(x_i)) on {sum x = target_sum}: the conditional law itself.  The
-    draws are laid out vertex-major, (n, rows), so every comparison and
-    the row sums run along long contiguous vectors.  The kept rows are
-    returned as a (k, n) array, k <= rows.
+    uniform draw each, the smallest i with cum[i] >= u, computed as d
+    comparisons against the cumulative probabilities.  The last degree
+    completes the sum, last = target_sum - (sum of the others), and the
+    row is kept with probability p(last) / max(p) when 0 <= last <= d,
+    decided by the row's n-th uniform.  A kept row x therefore has
+    probability proportional to prod(p(x_i)) on {sum x = target_sum}: the
+    conditional law itself.  The draws are laid out vertex-major,
+    (n, rows), so every comparison and the row sums run along long
+    contiguous vectors.  The kept rows are returned as a (k, n) array,
+    k <= rows.
     """
     # The class masses the inverse CDF realises, so the last degree is
     # weighted exactly as the others are drawn.
@@ -402,46 +253,159 @@ def _conditioned_degree_rows(
     return degrees.T[keep]
 
 
+def sample_degree_sequence(
+    n: int,
+    m: int,
+    d: int,
+    law: truncpoisson.DegreeLaw | None,
+    rows: int,
+    rng: np.random.Generator,
+    stats: SamplerStats | None = None,
+) -> np.ndarray:
+    """Draw degree vectors from the conditioned truncated Poisson law.
+
+    Each returned row is distributed as n i.i.d. draws from `law`
+    conditioned on summing to 2m, equivalently as the box occupancies of
+    2m balls dropped into n boxes of capacity d: P(x) is proportional to
+    1/prod(x_i!).  `law` is the instance's mean-matched law, or None when
+    2m = dn, where every degree is d.
+
+    Returns:
+        A (k, n) int64 array.  With rows == 1 the vector is conditioned
+        through its histogram and k == 1; with rows > 1 each row completes
+        its last degree and k <= rows rows are kept; with law None,
+        k == rows.
+
+    Raises:
+        SamplingError: If the histogram route exhausts its retry budget
+            (about 10^4 sqrt(n) draws, versus an expected O(sqrt(n))).
+    """
+    if law is None:
+        return np.full((rows, n), d, dtype=np.int64)
+    # The crossover, measured per kept vector with numpy 2.4.6 on a 2-vCPU
+    # host: for one vector the histogram wins at every n tried (76 us
+    # against 113 us at (n, m, d) = (6, 5, 3), 2.3 ms against 167 ms at
+    # (1e5, 6e4, 4)); for 8192 rows completion wins (3.7M against 0.68M
+    # vectors/s at (6, 5, 3), 110k against 65k at (60, 36, 4)).
+    if rows == 1:
+        histogram = _conditioned_histogram(n, 2 * m, law.probs, rng, stats)
+        return rng.permutation(np.repeat(np.arange(d + 1), histogram))[None]
+    return _conditioned_degree_rows(n, 2 * m, law.cumulative(), rows, rng)
+
+
+def pair_configuration(degrees: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform configuration pairing of each degree vector's half-edges.
+
+    Each row of the (k, n) degree array, summing to 2m, becomes a row of
+    2m tokens, x_i copies of vertex i, shuffled uniformly; tokens 2j and
+    2j + 1 are edge j.  Every perfect matching of a row's tokens is
+    equally likely.  For a single row this draws the same permutation, and
+    leaves the generator in the same state, as rng.shuffle of that row.
+    """
+    k, n = degrees.shape
+    tokens = np.repeat(np.tile(np.arange(n), k), degrees.ravel()).reshape(k, 2 * m)
+    return rng.permuted(tokens, axis=1, out=tokens)
+
+
+def is_simple(tokens: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Simplicity check and canonical form of paired token rows.
+
+    Returns the edge codes u*n + v (u < v) of the simple rows, each row
+    sorted ascending, in row order, and the boolean mask of the simple
+    rows: those without a loop and without a repeated pair.  Any defect
+    discards the whole attempt, so only loop-free rows are sorted.
+    """
+    u, v = tokens[:, 0::2], tokens[:, 1::2]
+    simple = ~np.any(u == v, axis=1)
+    u, v = u[simple], v[simple]
+    codes = np.sort(np.minimum(u, v) * n + np.maximum(u, v), axis=1)
+    distinct = ~np.any(np.diff(codes, axis=1) == 0, axis=1)
+    simple[simple] = distinct
+    return codes[distinct], simple
+
+
+def _attempts(
+    n: int,
+    m: int,
+    d: int,
+    law: truncpoisson.DegreeLaw | None,
+    rows: int,
+    rng: np.random.Generator,
+    stats: SamplerStats | None,
+) -> np.ndarray:
+    """Run a batch of `rows` attempts; the simple ones' sorted codes, in order.
+
+    The stages are called through the module's globals, so a wrapper
+    installed on this module sees each of them.
+    """
+    degrees = sample_degree_sequence(n, m, d, law, rows, rng, stats)
+    codes, simple = is_simple(pair_configuration(degrees, m, rng), n)
+    if stats is not None:
+        stats.pairings += simple.size
+        stats.simple += int(simple.sum())
+        stats.alpha_total += float((degrees * (degrees - 1)).sum() / (2 * m))
+    return codes
+
+
+def sample_graph(
+    n: int,
+    m: int,
+    d: int,
+    rng: np.random.Generator,
+    stats: SamplerStats | None = None,
+) -> SimpleGraph:
+    """Sample a uniform graph on n vertices with m edges and max degree <= d.
+
+    Runs the kernel one attempt at a time {fresh degree sequence; fresh
+    pairing} until the pairing is simple.  Determinism: identical
+    (n, m, d) and generator state produce the identical graph.
+
+    Args:
+        stats: Optional SamplerStats accumulator; records histogram draws,
+            pairing attempts, and the sum of per-attempt alpha diagnostics.
+
+    Raises:
+        ValueError: If the instance is infeasible (2m > dn).
+        SamplingError: If a retry budget is exhausted (pathological
+            parameters, e.g. an instance whose rare feasible sequences
+            almost never pair simply).
+    """
+    law = _degree_law(n, m, d)
+    for _ in range(SIMPLICITY_CAP):
+        codes = _attempts(n, m, d, law, 1, rng, stats)
+        if len(codes):
+            return SimpleGraph._trusted(n, d, np.column_stack(np.divmod(codes[0], n)))
+    raise SamplingError(
+        f"no simple pairing in {SIMPLICITY_CAP} restarts for "
+        f"(n={n}, m={m}, d={d}); the simple graphs of this instance are "
+        "vanishingly rare under the configuration pairing"
+    )
+
+
 def sample_edge_codes(
     n: int,
     m: int,
     d: int,
     count: int,
     rng: np.random.Generator,
-    chunk_rows: int | None = None,
 ) -> np.ndarray:
     """Bulk-sample `count` uniform graphs, returned as sorted edge codes.
 
     Row k holds the k-th sampled graph as its m edge codes u*n + v
     (u < v), sorted ascending -- the same canonical form SimpleGraph uses.
-    Every attempt draws a fresh degree sequence and a fresh pairing and
-    keeps the simple results in attempt order, like sample_graph, but on
-    whole batches of attempts at once, so that tiny instances can be
-    sampled millions of times in vectorized numpy.
+    This is sample_graph's kernel run on whole chunks of attempts, keeping
+    the simple ones in attempt order, so that tiny instances can be
+    sampled millions of times in vectorized numpy.  A chunk conditions its
+    degree vectors by completing the last degree, so the output has the
+    same distribution as sample_graph's; only the random stream differs.
 
-    The degree sequence is conditioned at vector level: n - 1 i.i.d.
-    truncated Poisson degrees per attempt, the last degree completing the
-    sum 2m, and the vector kept with probability p(last) / max(p)
-    (_conditioned_degree_rows).  This is the conditional law itself,
-    arrangement included, so the output has the same distribution as
-    sample_graph's histogram route; only the random stream differs.
-
-    Intended for uniformity testing at small n; memory per chunk scales
-    with chunk_rows * n.
+    Intended for uniformity testing at small n; a chunk holds at most
+    about 4e6 tokens.
     """
-    _check_instance(n, m, d)
+    law = _degree_law(n, m, d)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if chunk_rows is None:
-        chunk_rows = max(64, min(8192, 4_000_000 // max(n, 2 * m)))
-    regular = 2 * m == d * n
-    if not regular:
-        # make_degree_law's arithmetic, without its d >= 2 floor: at d = 1
-        # the mean-matched law is just as well defined.
-        lam = truncpoisson.invert_mean(d, 2 * m / n)
-        cum = truncpoisson.law_from_rate(d, lam).cumulative()
-    vertex_row = np.arange(n)
-
+    rows = max(64, min(8192, 4_000_000 // max(n, 2 * m)))
     out = np.empty((count, m), dtype=np.int64)
     filled = 0
     attempts = 0
@@ -454,23 +418,9 @@ def sample_edge_codes(
                 f"no graph produced after {attempts} bulk attempts for "
                 f"(n={n}, m={m}, d={d})"
             )
-        attempts += chunk_rows
-        if regular:
-            degmat = np.full((chunk_rows, n), d, dtype=np.int64)
-        else:
-            degmat = _conditioned_degree_rows(n, 2 * m, cum, chunk_rows, rng)
-        k = degmat.shape[0]
-        tokens = np.repeat(np.tile(vertex_row, k), degmat.ravel()).reshape(k, 2 * m)
-        tokens = rng.permuted(tokens, axis=1)
-        u = tokens[:, 0::2]
-        v = tokens[:, 1::2]
-        # Any defect discards the whole attempt, so only loop-free rows
-        # need the sort behind the duplicate check.
-        loop_free = ~np.any(u == v, axis=1)
-        u, v = u[loop_free], v[loop_free]
-        codes = np.sort(np.minimum(u, v) * n + np.maximum(u, v), axis=1)
-        good = codes[~np.any(np.diff(codes, axis=1) == 0, axis=1)]
-        take = min(good.shape[0], count - filled)
+        attempts += rows
+        good = _attempts(n, m, d, law, rows, rng, None)
+        take = min(len(good), count - filled)
         out[filled : filled + take] = good[:take]
         filled += take
     return out

@@ -35,7 +35,6 @@ __all__ = [
     "molloy_reed_q",
     "critical_mean_degree",
     "critical_mean_degree_approx",
-    "sample_degree",
 ]
 
 #: Guaranteed absolute tolerance on the rate returned by invert_mean.  The
@@ -55,7 +54,8 @@ class DegreeLaw:
         probs: Probability vector of length d + 1 with
             probs[i] = lam^i / (i! * s_d(lam)).  All entries are finite,
             non-negative and sum to 1.  law_from_rate gives an entry 0
-            only when its term lam^i / i! underflows, so the mass a zero
+            only when its term lam^i / i! (or, where the terms overflow,
+            its ratio to the largest term) underflows, so the mass a zero
             class drops is below 1e-300.
     """
 
@@ -100,8 +100,9 @@ def partial_exp_sum(d: int, lam: float) -> float:
     """Partial sum of the exponential series: sum_{j=0}^{d} lam^j / j!.
 
     Terms are accumulated in ascending order with the recurrence
-    term_{j+1} = term_j * lam / (j+1), so no factorial is ever formed and
-    the computation stays overflow-free for any rate a float can hold.
+    term_{j+1} = term_j * lam / (j+1), so no factorial is ever formed.
+    The sum itself overflows to inf once a term passes the float range,
+    for example at d = 60 and lam = 1e7.
 
     Args:
         d: Upper summation index, d >= 0.
@@ -127,7 +128,8 @@ def partial_exp_sum(d: int, lam: float) -> float:
 def mean(k: int, lam: float) -> float:
     """Mean of the k-truncated Poisson law: lam * s_{k-1}(lam) / s_k(lam).
 
-    Strictly increasing in lam and strictly inside (0, k).
+    Strictly increasing in lam and strictly inside (0, k).  Where the
+    partial sums overflow, the mean is taken from law_from_rate instead.
 
     Raises:
         ValueError: If k < 1 or lam <= 0.
@@ -135,7 +137,13 @@ def mean(k: int, lam: float) -> float:
     lam = _check_rate(lam)
     if k < 1:
         raise ValueError(f"truncation degree must be >= 1, got {k}")
-    return lam * partial_exp_sum(k - 1, lam) / partial_exp_sum(k, lam)
+    value = lam * partial_exp_sum(k - 1, lam) / partial_exp_sum(k, lam)
+    if 0.0 < value < math.inf:
+        return value
+    # The partial sums overflowed, which leaves 0, inf or nan: take the
+    # mean of the law instead, whose classes are then scaled by the
+    # largest one.
+    return law_from_rate(k, lam).mu
 
 
 def invert_mean(k: int, target: float) -> float:
@@ -184,10 +192,23 @@ def law_from_rate(d: int, lam: float) -> DegreeLaw:
     if d < 1:
         raise ValueError(f"max degree must be >= 1, got {d}")
     terms = np.empty(d + 1)
-    terms[0] = 1.0
+    terms[0] = term = 1.0
     for j in range(1, d + 1):
-        terms[j] = terms[j - 1] * lam / j
-    probs = terms / terms.sum()
+        # Python floats: an overflow gives inf without a numpy warning.
+        term = term * lam / j
+        terms[j] = term
+    total = terms.sum()
+    if not math.isfinite(total):
+        # lam^j / j! overflows: scale every class by the largest one, at
+        # j = min(d, floor(lam)), so that no term exceeds 1.
+        peak = min(d, int(lam))
+        terms[peak] = 1.0
+        for j in range(peak + 1, d + 1):
+            terms[j] = terms[j - 1] * lam / j
+        for j in range(peak, 0, -1):
+            terms[j - 1] = terms[j] * j / lam
+        total = terms.sum()
+    probs = terms / total
     mu = float(np.arange(d + 1) @ probs)
     return DegreeLaw(d=d, lam=lam, mu=mu, probs=probs)
 
@@ -279,16 +300,3 @@ def critical_mean_degree_approx(d: int) -> float:
     return 1.0 + 1.0 / (math.e * math.factorial(d - 1)) - 1.0 / (
         math.e * math.factorial(d)
     )
-
-
-def sample_degree(law: DegreeLaw, uniform_draw: float) -> int:
-    """Map one uniform draw in [0, 1) to a degree by inverse CDF.
-
-    Returns the smallest i whose cumulative probability is >= the draw.
-    Deterministic given the draw, so callers control the random stream.
-    """
-    u = float(uniform_draw)
-    if not (0.0 <= u < 1.0):
-        raise ValueError(f"uniform draw must lie in [0, 1), got {u!r}")
-    cum = law.cumulative()
-    return int(np.searchsorted(cum, u, side="left"))

@@ -15,7 +15,10 @@ def graph_from_edges(n, d, edge_list):
 
 def bfs_component_sizes(g):
     """Reference: component sizes by breadth-first search, descending."""
-    adj = g.adjacency()
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.edges.tolist():
+        adj[u].append(v)
+        adj[v].append(u)
     seen = [False] * g.n
     sizes = []
     for start in range(g.n):
@@ -95,9 +98,13 @@ class TestReport:
     def test_report_invariant_under_multigraph_edge_order(self):
         # The canonicalization step erases pairing order, so reports are a
         # function of the edge set only.
-        edges = np.array([[2, 1], [0, 1], [4, 3]])
-        g1 = sampler.Multigraph(edges=edges, n=5)
-        g2 = sampler.Multigraph(edges=edges[::-1], n=5)
-        r1 = components.report(sampler._simple_graph_from_multigraph(g1, 2))
-        r2 = components.report(sampler._simple_graph_from_multigraph(g2, 2))
+        tokens = np.array([[2, 1, 0, 1, 4, 3], [3, 4, 1, 0, 1, 2]])
+        codes, simple = sampler.is_simple(tokens, 5)
+        assert simple.all()
+        r1, r2 = (
+            components.report(
+                sampler.SimpleGraph(n=5, m=3, d=2, edges=np.column_stack(np.divmod(row, 5)))
+            )
+            for row in codes
+        )
         assert r1 == r2

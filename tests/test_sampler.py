@@ -13,21 +13,26 @@ from gnmd import oracle, sampler, truncpoisson as tp
 from gnmd.seeding import make_rng, trial_rng
 
 
+def one_sequence(n, m, d, rng, stats=None):
+    """One degree vector from the kernel's one-attempt (histogram) route."""
+    law = sampler._degree_law(n, m, d)
+    return sampler.sample_degree_sequence(n, m, d, law, 1, rng, stats)[0]
+
+
 class TestSampleDegreeSequence:
     def test_tiny_instance_support(self):
         # n=2, m=1, d=3: the only vectors summing to 2.
         seen = set()
         for seed in range(40):
-            x = sampler.sample_degree_sequence(2, 1, 3, make_rng(seed))
-            seen.add(tuple(x.degrees))
+            seen.add(tuple(one_sequence(2, 1, 3, make_rng(seed))))
         assert seen <= {(1, 1), (2, 0), (0, 2)}
         assert (1, 1) in seen  # overwhelmingly the most likely
 
     def test_sum_always_two_m(self):
         for seed in range(20):
-            x = sampler.sample_degree_sequence(50, 40, 4, make_rng(seed))
-            assert int(x.degrees.sum()) == 80
-            assert x.degrees.max() <= 4
+            x = one_sequence(50, 40, 4, make_rng(seed))
+            assert int(x.sum()) == 80
+            assert x.max() <= 4
 
     def test_counted_draws_match_the_conditioning_rate(self):
         # The draws counted per sequence are geometric with success
@@ -41,21 +46,20 @@ class TestSampleDegreeSequence:
         rng = make_rng(2718)
         sequences = 2_000
         for _ in range(sequences):
-            sampler.sample_degree_sequence(n, m, d, rng, stats)
+            one_sequence(n, m, d, rng, stats)
         assert sequences / stats.histogram_draws == pytest.approx(predicted, rel=0.1)
 
     def test_regular_boundary_is_point_mass(self):
-        x = sampler.sample_degree_sequence(6, 6, 2, make_rng(0))
-        assert (x.degrees == 2).all()
+        assert (one_sequence(6, 6, 2, make_rng(0)) == 2).all()
 
     def test_infeasible_instance_rejected(self):
         with pytest.raises(ValueError):
-            sampler.sample_degree_sequence(4, 5, 2, make_rng(0))
+            one_sequence(4, 5, 2, make_rng(0))
 
     @pytest.mark.parametrize("n,m,d", [(0, 1, 2), (4, 0, 2), (4, 2, 0)])
     def test_degenerate_parameters_rejected(self, n, m, d):
         with pytest.raises(ValueError):
-            sampler.sample_degree_sequence(n, m, d, make_rng(0))
+            one_sequence(n, m, d, make_rng(0))
 
     def test_exact_sequence_distribution(self):
         # For n=3, d=2, sum 4 the conditional law weights each sequence x
@@ -69,8 +73,9 @@ class TestSampleDegreeSequence:
 
         rng = make_rng(777)
         trials = 40_000
+        law = sampler._degree_law(3, 2, 2)
         counts = Counter(
-            tuple(sampler.sample_degree_sequence(3, 2, 2, rng).degrees)
+            tuple(sampler.sample_degree_sequence(3, 2, 2, law, 1, rng)[0])
             for _ in range(trials)
         )
         assert set(counts) <= set(exact)
@@ -86,35 +91,33 @@ class TestSampleDegreeSequence:
         totals = np.zeros(d + 1)
         samples = 200
         for t in range(samples):
-            x = sampler.sample_degree_sequence(n, m, d, trial_rng(99, t))
-            totals += np.bincount(x.degrees, minlength=d + 1)
+            x = one_sequence(n, m, d, trial_rng(99, t))
+            totals += np.bincount(x, minlength=d + 1)
         freqs = totals / (samples * n)
         np.testing.assert_allclose(freqs, exact, atol=0.01)
 
 
 class TestPairConfiguration:
     def test_forced_single_edge(self):
-        x = sampler.DegreeSequence(degrees=np.array([1, 1]), n=2, m=1, d=3)
-        g = sampler.pair_configuration(x, make_rng(0))
-        assert sorted(g.edges[0].tolist()) == [0, 1]
+        tokens = sampler.pair_configuration(np.array([[1, 1]]), 1, make_rng(0))
+        assert sorted(tokens[0].tolist()) == [0, 1]
 
     def test_forced_loop(self):
-        x = sampler.DegreeSequence(degrees=np.array([2, 0]), n=2, m=1, d=3)
-        g = sampler.pair_configuration(x, make_rng(0))
-        assert g.edges[0].tolist() == [0, 0]
-        assert not sampler.is_simple(g)
+        tokens = sampler.pair_configuration(np.array([[2, 0]]), 1, make_rng(0))
+        assert tokens.tolist() == [[0, 0]]
+        codes, simple = sampler.is_simple(tokens, 2)
+        assert codes.shape == (0, 1) and simple.tolist() == [False]
 
     def test_uniform_over_perfect_matchings(self):
         # Four degree-1 vertices admit exactly three matchings, each of
         # probability 1/3.
-        x = sampler.DegreeSequence(degrees=np.array([1, 1, 1, 1]), n=4, m=2, d=1)
-        rng = make_rng(5)
-        counts = Counter()
         trials = 100_000
-        for _ in range(trials):
-            g = sampler.pair_configuration(x, rng)
-            key = tuple(sorted(tuple(sorted(e)) for e in g.edges.tolist()))
-            counts[key] += 1
+        degrees = np.ones((trials, 4), dtype=np.int64)
+        tokens = sampler.pair_configuration(degrees, 2, make_rng(5))
+        counts = Counter(
+            tuple(sorted(tuple(sorted(e)) for e in row.reshape(2, 2).tolist()))
+            for row in tokens
+        )
         matchings = {
             ((0, 1), (2, 3)),
             ((0, 2), (1, 3)),
@@ -124,29 +127,54 @@ class TestPairConfiguration:
         for key in matchings:
             assert counts[key] / trials == pytest.approx(1 / 3, abs=0.01)
 
+    @pytest.mark.parametrize("degrees", [[1, 1], [3, 0, 2, 4, 1], [2] * 500])
+    def test_single_row_draws_the_shuffle_stream(self, degrees):
+        # sample_graph's stream depends on this: one row shuffled by
+        # rng.permuted equals rng.shuffle of the same tokens, and leaves
+        # the generator in the same state.
+        rng, ref = make_rng(41), make_rng(41)
+        tokens = sampler.pair_configuration(np.array([degrees]), sum(degrees) // 2, rng)
+        expected = np.repeat(np.arange(len(degrees)), degrees)
+        ref.shuffle(expected)
+        assert tokens[0].tolist() == expected.tolist()
+        assert rng.random() == ref.random()
+
 
 class TestIsSimple:
     def test_loop_detected(self):
-        g = sampler.Multigraph(edges=np.array([[0, 0]]), n=2)
-        assert not sampler.is_simple(g)
+        codes, simple = sampler.is_simple(np.array([[0, 0]]), 2)
+        assert simple.tolist() == [False] and codes.shape == (0, 1)
 
     def test_parallel_edges_detected(self):
-        g = sampler.Multigraph(edges=np.array([[0, 1], [1, 0]]), n=2)
-        assert not sampler.is_simple(g)
+        codes, simple = sampler.is_simple(np.array([[0, 1, 1, 0]]), 2)
+        assert simple.tolist() == [False] and codes.shape == (0, 2)
 
     def test_path_is_simple(self):
-        g = sampler.Multigraph(edges=np.array([[0, 1], [1, 2]]), n=3)
-        assert sampler.is_simple(g)
+        codes, simple = sampler.is_simple(np.array([[2, 1, 1, 0]]), 3)
+        assert simple.tolist() == [True]
+        assert codes.tolist() == [[0 * 3 + 1, 1 * 3 + 2]]
+
+    def test_rows_are_judged_apart_and_kept_in_order(self):
+        tokens = np.array(
+            [[1, 2, 0, 3], [0, 0, 1, 2], [3, 0, 2, 1], [1, 2, 2, 1], [0, 1, 2, 3]]
+        )
+        codes, simple = sampler.is_simple(tokens, 4)
+        assert simple.tolist() == [True, False, True, False, True]
+        assert codes.tolist() == [[3, 6], [3, 6], [1, 11]]
 
 
 class TestAlphaDiagnostic:
     def test_zero_when_no_degree_exceeds_one(self):
-        x = sampler.DegreeSequence(degrees=np.array([1, 1, 0, 0]), n=4, m=1, d=2)
-        assert sampler.alpha_diagnostic(x) == 0.0
+        stats = sampler.SamplerStats()
+        sampler.sample_graph(4, 1, 1, make_rng(0), stats)
+        assert stats.alpha_mean == 0.0
 
     def test_hand_computed_value(self):
-        x = sampler.DegreeSequence(degrees=np.array([2, 2]), n=2, m=2, d=2)
-        assert sampler.alpha_diagnostic(x) == pytest.approx(1.0)
+        # Every attempt on the triangle instance has degrees (2, 2, 2), so
+        # alpha = 3 * 2 / 6 = 1 whether or not the pairing is simple.
+        stats = sampler.SamplerStats()
+        sampler.sample_graph(3, 3, 2, make_rng(0), stats)
+        assert stats.alpha_mean == pytest.approx(1.0)
 
     def test_typical_value_tracks_shifted_mean(self):
         # For law-typical sequences alpha concentrates around
@@ -154,8 +182,9 @@ class TestAlphaDiagnostic:
         n, m, d = 10_000, 6_000, 4
         lam = tp.invert_mean(d, 2 * m / n)
         expected = tp.mean(d - 1, lam)
-        x = sampler.sample_degree_sequence(n, m, d, make_rng(3))
-        assert sampler.alpha_diagnostic(x) == pytest.approx(expected, abs=0.05)
+        stats = sampler.SamplerStats()
+        sampler.sample_graph(n, m, d, make_rng(3), stats)
+        assert stats.alpha_mean == pytest.approx(expected, abs=0.05)
 
 
 class TestSampleGraph:
@@ -173,6 +202,8 @@ class TestSampleGraph:
 
     def test_invariants_hold(self):
         g = sampler.sample_graph(500, 400, 4, make_rng(8))
+        # The kernel's unchecked output passes the public validation.
+        sampler.SimpleGraph(n=g.n, m=g.m, d=g.d, edges=g.edges)
         assert g.m == 400
         assert g.degrees().max() <= 4
         assert (g.edges[:, 0] < g.edges[:, 1]).all()
@@ -180,26 +211,19 @@ class TestSampleGraph:
         assert (np.diff(codes) > 0).all()
 
     def test_canonical_form_is_the_sorted_edge_set(self):
+        n, m, d = 60, 50, 4
         rng = make_rng(3)
+        law = sampler._degree_law(n, m, d)
         checked = 0
         while checked < 20:
-            x = sampler.sample_degree_sequence(60, 50, 4, rng)
-            pairing = sampler.pair_configuration(x, rng)
-            if not sampler.is_simple(pairing):
+            degrees = sampler.sample_degree_sequence(n, m, d, law, 1, rng)
+            tokens = sampler.pair_configuration(degrees, m, rng)
+            codes, simple = sampler.is_simple(tokens, n)
+            if not simple[0]:
                 continue
-            g = sampler._simple_graph_from_multigraph(pairing, 4)
-            expected = sorted(sorted(e) for e in pairing.edges.tolist())
-            assert g.edges.tolist() == expected
+            expected = sorted(sorted(e) for e in tokens[0].reshape(-1, 2).tolist())
+            assert codes[0].tolist() == [u * n + v for u, v in expected]
             checked += 1
-
-    def test_adjacency_consistent_with_edges(self):
-        g = sampler.sample_graph(30, 25, 4, make_rng(1))
-        adj = g.adjacency()
-        rebuilt = set()
-        for u, neighbors in enumerate(adj):
-            for v in neighbors:
-                rebuilt.add((min(u, v), max(u, v)))
-        assert rebuilt == {tuple(e) for e in g.edges.tolist()}
 
     def test_stats_accumulate(self):
         stats = sampler.SamplerStats()
@@ -208,6 +232,10 @@ class TestSampleGraph:
         assert stats.simple >= 1
         assert stats.histogram_draws >= 1
         assert 0.0 <= stats.alpha_mean <= 4.0
+
+    def test_degree_bound_one_gives_a_matching(self):
+        g = sampler.sample_graph(10, 4, 1, make_rng(12))
+        assert g.m == 4 and g.degrees().max() == 1
 
     def test_degree_law_with_underflowed_classes(self):
         # At mean degree 2e-5 every class above 53 has lam^j / j! = 0.
@@ -306,6 +334,8 @@ class TestBulkSamplerProperty:
         if 2 * m > d * n:
             with pytest.raises(ValueError, match="infeasible"):
                 sampler.sample_edge_codes(n, m, d, 20, make_rng(seed))
+            with pytest.raises(ValueError, match="infeasible"):
+                sampler.sample_graph(n, m, d, make_rng(seed))
             return
         codes = sampler.sample_edge_codes(n, m, d, 20, make_rng(seed))
         assert codes.shape == (20, m)
@@ -313,6 +343,11 @@ class TestBulkSamplerProperty:
         ensemble = oracle.enumerate_graphs(n, m, d)
         support = {tuple(row) for row in ensemble.edge_codes.tolist()}
         assert {tuple(row) for row in codes.tolist()} <= support
+        try:
+            g = sampler.sample_graph(n, m, d, make_rng(seed))
+        except sampler.SamplingError:
+            return  # K6 and other near-complete instances pair simply rarely
+        assert tuple((g.edges[:, 0] * n + g.edges[:, 1]).tolist()) in support
 
 
 class TestGraphFileFormat:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gnmd import truncpoisson as tp
+from gnmd import sampler, truncpoisson as tp
 
 # Rate grid for property checks: 0.01 * 2^k intersected with (0, 20].
 LAMBDA_GRID = [0.01 * 2**k for k in range(11)]
@@ -72,6 +72,15 @@ class TestMean:
             tp.mean(2, -1.0)
 
 
+    def test_finite_where_the_partial_sums_overflow(self):
+        # lam^j / j! passes the float range at both rates; the mean must
+        # still match the rational oracle, not read nan.
+        assert tp.mean(60, 1e300) == pytest.approx(60.0, rel=1e-12)
+        s = exact_partial_exp_sum
+        exact = Fraction(2000) * s(399, Fraction(2000)) / s(400, Fraction(2000))
+        assert tp.mean(400, 2000.0) == pytest.approx(float(exact), rel=1e-12)
+
+
 class TestInvertMean:
     def test_known_value(self):
         assert tp.invert_mean(2, 1.0) == pytest.approx(math.sqrt(2), abs=1e-12)
@@ -88,6 +97,12 @@ class TestInvertMean:
             for target in (0.1, 0.5 * k, k - 0.1):
                 lam = tp.invert_mean(k, target)
                 assert abs(tp.mean(k, lam) - target) <= 1e-12
+
+    @pytest.mark.parametrize("k, target", [(400, 399.5), (60, 59.99999)])
+    def test_residual_where_the_partial_sums_overflow(self, k, target):
+        lam = tp.invert_mean(k, target)
+        assert tp.mean(k, lam) == pytest.approx(target, rel=1e-12)
+        assert tp.make_degree_law(k, target).mu == pytest.approx(target, rel=1e-12)
 
     @pytest.mark.parametrize("target", [0.0, -0.5, 2.0, 2.5])
     def test_rejects_out_of_range_target(self, target):
@@ -163,6 +178,23 @@ class TestDegreeLaw:
             tp.DegreeLaw(d=3, lam=law.lam, mu=2.0, probs=law.probs)
         with pytest.raises(ValueError):
             tp.DegreeLaw(d=2, lam=law.lam, mu=law.mu, probs=law.probs)
+
+
+    @pytest.mark.parametrize("d, lam", [(400, 2000.0), (1000, 800.0), (60, 1e300)])
+    def test_law_where_the_terms_overflow(self, d, lam):
+        # The largest term passes the float range at each rate, at the top
+        # class or (1000, 800.0) inside; the law is then built relative to
+        # it and must match the exact integer weights.
+        law = tp.law_from_rate(d, lam)
+        # Integer weights lam^j * d!/j!, proportional to lam^j / j!.
+        rate = int(lam)
+        falling = [1] * (d + 1)
+        for j in range(d, 0, -1):
+            falling[j - 1] = falling[j] * j
+        weights = [rate**j * falling[j] for j in range(d + 1)]
+        total = sum(weights)
+        exact = [w / total for w in weights]  # int division rounds correctly
+        np.testing.assert_allclose(law.probs, exact, rtol=1e-12, atol=1e-300)
 
 
 class TestVariance:
@@ -241,31 +273,54 @@ class TestCriticalMeanDegree:
             assert tp.critical_mean_degree_approx(d) == pytest.approx(expected)
 
 
+class _Uniforms:
+    """Stands in for a Generator: random() lays out the given degree draws.
+
+    The sampler's batch kernel reads a (2, rows) block: row 0 draws the
+    first vertex's degree, row 1 the acceptance of the completed last
+    degree, here 0 so that every row is kept.
+    """
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=float)
+
+    def random(self, shape):
+        assert shape == (2, self.draws.size)
+        return np.vstack([self.draws, np.zeros_like(self.draws)])
+
+
+def kernel_degrees(law, draws):
+    """Degrees the sampler's kernel maps the uniform draws to by inverse CDF.
+
+    Two vertices with degree sum d: the last degree, d minus the first,
+    is always feasible.
+    """
+    rows = sampler._conditioned_degree_rows(
+        2, law.d, law.cumulative(), len(draws), _Uniforms(draws)
+    )
+    assert rows.shape == (len(draws), 2)
+    return rows[:, 0]
+
+
 class TestSampleDegree:
     def test_zero_draw_hits_first_class(self):
         law = tp.make_degree_law(3, 1.5)
-        assert tp.sample_degree(law, 0.0) == 0
+        assert kernel_degrees(law, [0.0]).tolist() == [0]
 
     def test_draw_near_one_hits_last_class(self):
         law = tp.make_degree_law(3, 1.5)
-        assert tp.sample_degree(law, 1 - 1e-15) == 3
-
-    def test_rejects_out_of_range_draw(self):
-        law = tp.make_degree_law(3, 1.5)
-        for u in (-0.1, 1.0, 1.5):
-            with pytest.raises(ValueError):
-                tp.sample_degree(law, u)
+        assert kernel_degrees(law, [1 - 1e-15]).tolist() == [3]
 
     def test_empirical_frequencies_match_pmf(self):
-        # The bulk path applies the same inverse-CDF lookup with one
-        # searchsorted call; sample_degree is spot-checked against it.
+        # The kernel counts the cumulative probabilities below each draw;
+        # it must agree with one searchsorted call, the smallest i with
+        # cum[i] >= u, and so realise the law's probabilities.
         law = tp.make_degree_law(4, 1.2)
         rng = np.random.default_rng(20240601)
         draws = rng.random(1_000_000)
-        degrees = np.searchsorted(law.cumulative(), draws, side="left")
+        degrees = kernel_degrees(law, draws)
+        np.testing.assert_array_equal(
+            degrees, np.searchsorted(law.cumulative(), draws, side="left")
+        )
         freqs = np.bincount(degrees, minlength=5) / draws.size
         np.testing.assert_allclose(freqs, law.probs, atol=0.005)
-        for u in draws[:500]:
-            assert tp.sample_degree(law, u) == np.searchsorted(
-                law.cumulative(), u, side="left"
-            )
