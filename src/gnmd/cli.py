@@ -134,6 +134,18 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_grid_arguments(p: argparse.ArgumentParser) -> None:
+    """The arguments of a mean-degree grid experiment (sweep, duel)."""
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--mu-from", dest="mu_from", type=float, required=True)
+    p.add_argument("--mu-to", dest="mu_to", type=float, required=True)
+    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--out", required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gnmd",
@@ -168,27 +180,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_components)
 
     p = sub.add_parser("sweep", help="Monte Carlo sweep over a mean-degree grid")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--mu-from", dest="mu_from", type=float, required=True)
-    p.add_argument("--mu-to", dest="mu_to", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
+    _add_grid_arguments(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser(
         "duel", help="giant-component duel against percolated regular graphs"
     )
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--mu-from", dest="mu_from", type=float, required=True)
-    p.add_argument("--mu-to", dest="mu_to", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
+    _add_grid_arguments(p)
     p.set_defaults(func=_cmd_duel)
 
     p = sub.add_parser("oracle", help="enumerate tiny ensembles; test uniformity")

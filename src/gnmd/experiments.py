@@ -4,9 +4,10 @@ All experiments are deterministic functions of their configuration and a
 master seed.  Trials derive independent streams keyed by trial index
 (see seeding), so results do not depend on execution order; the worker
 count only changes wall-clock time.  Worker parallelism is capped by the
-GNMD_WORKERS environment variable (default: serial).  A sweep or duel
-hands every (grid point, trial) task of the run to one process pool, and
-slices the results back per grid point.
+GNMD_WORKERS environment variable (default: serial).  The sweep and the
+duel share one grid check and one grid driver, which hands every (grid
+point, trial) task of the run to one process pool and slices the results
+back per grid point.  Each row class is its own CSV schema.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -35,36 +36,6 @@ __all__ = [
     "simplicity_acceptance_rate",
     "worker_count",
 ]
-
-SWEEP_COLUMNS = (
-    "d",
-    "mu",
-    "n",
-    "m",
-    "trials",
-    "predicted_theta",
-    "mean_largest_frac",
-    "std_largest_frac",
-    "mean_second_frac",
-    "max_degree_dev",
-    "flags",
-)
-
-DUEL_COLUMNS = (
-    "d",
-    "mu",
-    "n",
-    "m",
-    "trials",
-    "mean_largest_frac",
-    "std_largest_frac",
-    "perc_mean_largest_frac",
-    "perc_std_largest_frac",
-    "mu_critical",
-    "perc_mu_critical",
-    "flags",
-)
-
 
 def worker_count() -> int:
     """Worker processes to use, capped by the GNMD_WORKERS env var."""
@@ -90,20 +61,28 @@ def threshold_rows(d_max: int) -> list[tuple[int, float, float]]:
     ]
 
 
-def _edge_count(mu: float, n: int, d: int) -> int:
-    """Realized edge count m = ceil(mu * n / 2) of a grid point.
+def _edge_counts(d: int, n: int, grid: Sequence[float], trials: int) -> list[int]:
+    """Check a grid and its trial count; each point's m = ceil(mu * n / 2).
 
     Raises:
-        ValueError: If 2m > d*n: rounding up leaves no graph with max
-            degree d (possible when mu is within 1/n of d and d*n is odd).
+        ValueError: If trials < 1, a mu lies outside (0, d), or 2m > d*n:
+            rounding up leaves no graph with max degree d (possible when
+            mu is within 1/n of d and d*n is odd).
     """
-    m = math.ceil(mu * n / 2)
-    if 2 * m > d * n:
-        raise ValueError(
-            f"mu={mu} is infeasible at n={n}, d={d}: "
-            f"2m = {2 * m} exceeds d*n = {d * n}"
-        )
-    return m
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    ms = []
+    for mu in grid:
+        if not (0.0 < mu < d):
+            raise ValueError(f"every mu must lie in (0, {d}), got mu={mu}")
+        m = math.ceil(mu * n / 2)
+        if 2 * m > d * n:
+            raise ValueError(
+                f"mu={mu} is infeasible at n={n}, d={d}: "
+                f"2m = {2 * m} exceeds d*n = {d * n}"
+            )
+        ms.append(m)
+    return ms
 
 
 @dataclass(frozen=True)
@@ -126,17 +105,12 @@ class SweepConfig:
             raise ValueError(f"d must be >= 2, got {self.d}")
         if self.n < 10:
             raise ValueError(f"n must be >= 10, got {self.n}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
         grid = tuple(float(v) for v in self.mu_grid)
         if not grid:
             raise ValueError("mu_grid must be nonempty")
-        if any(not (0.0 < v < self.d) for v in grid):
-            raise ValueError(f"every mu must lie in (0, {self.d})")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("mu_grid must be strictly increasing")
-        for mu in grid:
-            _edge_count(mu, self.n, self.d)
+        _edge_counts(self.d, self.n, grid, self.trials)
         object.__setattr__(self, "mu_grid", grid)
 
 
@@ -154,21 +128,6 @@ class SweepRow:
     max_degree_dev: float  # mean over trials of max_i |nu_i/n - probs_i|
     flags: str
 
-    def as_csv_fields(self) -> tuple[str, ...]:
-        return (
-            str(self.d),
-            _fmt(self.mu),
-            str(self.n),
-            str(self.m),
-            str(self.trials),
-            _fmt(self.predicted_theta),
-            _fmt(self.mean_largest_frac),
-            _fmt(self.std_largest_frac),
-            _fmt(self.mean_second_frac),
-            _fmt(self.max_degree_dev),
-            self.flags,
-        )
-
 
 @dataclass(frozen=True)
 class DuelRow:
@@ -185,27 +144,13 @@ class DuelRow:
     perc_mu_critical: float
     flags: str
 
-    def as_csv_fields(self) -> tuple[str, ...]:
-        return (
-            str(self.d),
-            _fmt(self.mu),
-            str(self.n),
-            str(self.m),
-            str(self.trials),
-            _fmt(self.mean_largest_frac),
-            _fmt(self.std_largest_frac),
-            _fmt(self.perc_mean_largest_frac),
-            _fmt(self.perc_std_largest_frac),
-            _fmt(self.mu_critical),
-            _fmt(self.perc_mu_critical),
-            self.flags,
-        )
-
 
 def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
     return format(float(x), ".10g")
+
+
+def _mean(values: Sequence[float]) -> float:
+    return float(np.mean(values)) if values else math.nan
 
 
 def _std(values: Sequence[float]) -> float:
@@ -214,16 +159,11 @@ def _std(values: Sequence[float]) -> float:
     return float(np.std(np.asarray(values), ddof=1))
 
 
-def _sweep_trial(args: tuple[int, int, int, int, int]) -> tuple[float, float, tuple[int, ...], str]:
-    """One sweep trial; returns (largest_frac, second_frac, degree_counts, error)."""
-    d, n, m, master_seed, index = args
-    rng = trial_rng(master_seed, index)
-    try:
-        g = sampler.sample_graph(n, m, d, rng)
-    except sampler.SamplingError as exc:
-        return (math.nan, math.nan, (), str(exc))
-    rep = components.report(g)
-    return (rep.largest_fraction, rep.second_fraction, rep.degree_counts, "")
+def _flags(near_critical: bool, errors: int) -> str:
+    flags = ["near_critical"] if near_critical else []
+    if errors:
+        flags.append(f"errors={errors}")
+    return ";".join(flags)
 
 
 def _run_trials(worker, args_list: list, workers: int) -> list:
@@ -232,6 +172,48 @@ def _run_trials(worker, args_list: list, workers: int) -> list:
         return [worker(a) for a in args_list]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, args_list))
+
+
+def _run_grid(
+    trial,
+    d: int,
+    n: int,
+    grid: Sequence[float],
+    ms: Sequence[int],
+    trials: int,
+    master_seed: int,
+    workers: int,
+) -> list[tuple[list, int]]:
+    """Run `trials` trials per grid point; per point, (values, errors).
+
+    Trial t of point k gets the task (d, n, m, mu, master_seed, k*trials + t)
+    and returns (values, error), error "" on success.  A point keeps the
+    values of its successful trials, in order, and counts the others.
+    """
+    tasks = [
+        (d, n, m, mu, master_seed, k * trials + t)
+        for k, (mu, m) in enumerate(zip(grid, ms))
+        for t in range(trials)
+    ]
+    results = _run_trials(trial, tasks, workers)
+    points = []
+    for k in range(len(ms)):
+        chunk = results[k * trials : (k + 1) * trials]
+        ok = [values for values, error in chunk if not error]
+        points.append((ok, trials - len(ok)))
+    return points
+
+
+def _sweep_trial(task: tuple[int, int, int, float, int, int]) -> tuple[tuple | None, str]:
+    """One sweep trial: ((largest_frac, second_frac, degree_counts), error)."""
+    d, n, m, _, master_seed, index = task
+    rng = trial_rng(master_seed, index)
+    try:
+        g = sampler.sample_graph(n, m, d, rng)
+    except sampler.SamplingError as exc:
+        return None, str(exc)
+    rep = components.report(g)
+    return (rep.largest_fraction, rep.second_fraction, rep.degree_counts), ""
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
@@ -244,31 +226,17 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     aborting the sweep.
     """
     d, n, trials = config.d, config.n, config.trials
-    ms = [_edge_count(mu, n, d) for mu in config.mu_grid]
-    predictions = [giant.predict(d, mu) for mu in config.mu_grid]
-    args = [
-        (d, n, m, config.master_seed, grid_index * trials + t)
-        for grid_index, m in enumerate(ms)
-        for t in range(trials)
-    ]
-    results = _run_trials(_sweep_trial, args, worker_count())
+    ms = _edge_counts(d, n, config.mu_grid, trials)
+    points = _run_grid(
+        _sweep_trial, d, n, config.mu_grid, ms, trials, config.master_seed, worker_count()
+    )
     rows: list[SweepRow] = []
-    for grid_index, (mu, m, prediction) in enumerate(
-        zip(config.mu_grid, ms, predictions)
-    ):
-        chunk = results[grid_index * trials : (grid_index + 1) * trials]
-        ok = [r for r in chunk if not r[3]]
-        largest = [r[0] for r in ok]
-        second = [r[1] for r in ok]
-        errors = trials - len(ok)
+    for mu, m, (ok, errors) in zip(config.mu_grid, ms, points):
+        prediction = giant.predict(d, mu)
         devs = [
-            float(np.abs(np.asarray(r[2]) / n - prediction.law.probs).max()) for r in ok
+            float(np.abs(np.asarray(counts) / n - prediction.law.probs).max())
+            for _, _, counts in ok
         ]
-        flags = []
-        if prediction.near_critical:
-            flags.append("near_critical")
-        if errors:
-            flags.append(f"errors={errors}")
         rows.append(
             SweepRow(
                 d=d,
@@ -277,11 +245,11 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
                 m=m,
                 trials=trials,
                 predicted_theta=prediction.giant_fraction or 0.0,
-                mean_largest_frac=float(np.mean(largest)) if largest else math.nan,
-                std_largest_frac=_std(largest),
-                mean_second_frac=float(np.mean(second)) if second else math.nan,
-                max_degree_dev=float(np.mean(devs)) if devs else math.nan,
-                flags=";".join(flags),
+                mean_largest_frac=_mean([largest for largest, _, _ in ok]),
+                std_largest_frac=_std([largest for largest, _, _ in ok]),
+                mean_second_frac=_mean([second for _, second, _ in ok]),
+                max_degree_dev=_mean(devs),
+                flags=_flags(prediction.near_critical, errors),
             )
         )
     return rows
@@ -306,8 +274,9 @@ def sample_percolated_regular(
     return sampler.SimpleGraph._trusted(n, d, g.edges[keep])
 
 
-def _duel_trial(args: tuple[int, int, int, float, int, int]) -> tuple[float, float, str]:
-    d, n, m, mu, master_seed, index = args
+def _duel_trial(task: tuple[int, int, int, float, int, int]) -> tuple[tuple | None, str]:
+    """One duel trial: ((bounded largest_frac, percolated largest_frac), error)."""
+    d, n, m, mu, master_seed, index = task
     rng = trial_rng(master_seed, index)
     try:
         g = sampler.sample_graph(n, m, d, rng)
@@ -316,8 +285,8 @@ def _duel_trial(args: tuple[int, int, int, float, int, int]) -> tuple[float, flo
             sample_percolated_regular(n, d, mu / d, rng)
         ).largest_fraction
     except sampler.SamplingError as exc:
-        return (math.nan, math.nan, str(exc))
-    return (bounded, perc, "")
+        return None, str(exc)
+    return (bounded, perc), ""
 
 
 def run_percolation_duel(
@@ -338,59 +307,52 @@ def run_percolation_duel(
     for large d.
 
     Raises:
-        ValueError: Before any graph is sampled, if d < 3, a mu lies
-            outside (0, d) or has no feasible edge count, or n*d is odd
-            (no d-regular graph exists).
+        ValueError: Before any graph is sampled, if d < 3, trials < 1, a
+            mu lies outside (0, d) or has no feasible edge count, or n*d
+            is odd (no d-regular graph exists).
     """
     if d < 3:
         raise ValueError(f"duel requires d >= 3, got {d}")
     grid = [float(v) for v in mu_grid]
-    if any(not (0.0 < v < d) for v in grid):
-        raise ValueError(f"every mu must lie in (0, {d})")
-    ms = [_edge_count(mu, n, d) for mu in grid]
+    ms = _edge_counts(d, n, grid, trials)
     if (n * d) % 2:
         raise ValueError(
             f"n*d must be even for the d-regular side of the duel, got n={n}, d={d}"
         )
-    args = [
-        (d, n, m, mu, master_seed, grid_index * trials + t)
-        for grid_index, (mu, m) in enumerate(zip(grid, ms))
-        for t in range(trials)
-    ]
-    results = _run_trials(_duel_trial, args, worker_count())
-    rows: list[DuelRow] = []
-    for grid_index, (mu, m) in enumerate(zip(grid, ms)):
-        chunk = results[grid_index * trials : (grid_index + 1) * trials]
-        ok = [r for r in chunk if not r[2]]
-        bounded = [r[0] for r in ok]
-        perc = [r[1] for r in ok]
-        errors = trials - len(ok)
-        rows.append(
-            DuelRow(
-                d=d,
-                mu=mu,
-                n=n,
-                m=m,
-                trials=trials,
-                mean_largest_frac=float(np.mean(bounded)) if bounded else math.nan,
-                std_largest_frac=_std(bounded),
-                perc_mean_largest_frac=float(np.mean(perc)) if perc else math.nan,
-                perc_std_largest_frac=_std(perc),
-                mu_critical=truncpoisson.critical_mean_degree(d),
-                perc_mu_critical=1.0 + 1.0 / (d - 1),
-                flags=f"errors={errors}" if errors else "",
-            )
+    points = _run_grid(_duel_trial, d, n, grid, ms, trials, master_seed, worker_count())
+    mu_critical = truncpoisson.critical_mean_degree(d)
+    return [
+        DuelRow(
+            d=d,
+            mu=mu,
+            n=n,
+            m=m,
+            trials=trials,
+            mean_largest_frac=_mean([bounded for bounded, _ in ok]),
+            std_largest_frac=_std([bounded for bounded, _ in ok]),
+            perc_mean_largest_frac=_mean([perc for _, perc in ok]),
+            perc_std_largest_frac=_std([perc for _, perc in ok]),
+            mu_critical=mu_critical,
+            perc_mu_critical=1.0 + 1.0 / (d - 1),
+            flags=_flags(False, errors),
         )
-    return rows
+        for mu, m, (ok, errors) in zip(grid, ms, points)
+    ]
 
 
 def write_csv(rows: Sequence[SweepRow] | Sequence[DuelRow], path: str | Path) -> None:
-    """Write rows with their fixed column schema; output is byte-stable."""
+    """Write rows as CSV, one column per row field in field order.
+
+    Floats are written with 10 significant digits, everything else with
+    str, so the output is byte-stable.
+    """
     if not rows:
         raise ValueError("no rows to write")
-    columns = SWEEP_COLUMNS if isinstance(rows[0], SweepRow) else DUEL_COLUMNS
-    lines = [",".join(columns)]
-    lines += [",".join(r.as_csv_fields()) for r in rows]
+    names = [field.name for field in fields(rows[0])]
+    lines = [",".join(names)]
+    for row in rows:
+        values = (getattr(row, name) for name in names)
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in values))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -399,22 +361,20 @@ def conditioning_acceptance_rate(
 ) -> float:
     """Empirical probability that n i.i.d. degrees sum to exactly 2m.
 
-    Uses the mean-matched law and counts hits over `draws` independent
-    degree-vector draws (measured through their histograms, which carry
-    the sum).  This is the conditioning acceptance rate of the degree
-    sequence sampler; theory puts it at order 1/sqrt(n).
+    Runs the sampler's own conditioning loop, sample_degree_sequence with
+    one row and the mean-matched law, until it has counted at least
+    `draws` degree histograms, and returns the sequences it kept per
+    histogram counted.  This is the conditioning acceptance rate of the
+    degree sequence sampler; theory puts it at order 1/sqrt(n).
     """
     law = truncpoisson.make_degree_law(d, 2 * m / n)
-    weights = np.arange(d + 1)
     rng = trial_rng(seed, 0)
-    hits = 0
-    done = 0
-    while done < draws:
-        batch = min(200_000, draws - done)
-        counts = rng.multinomial(n, law.probs, size=batch)
-        hits += int((counts @ weights == 2 * m).sum())
-        done += batch
-    return hits / draws
+    stats = sampler.SamplerStats()
+    sequences = 0
+    while stats.histogram_draws < draws:
+        sampler.sample_degree_sequence(n, m, d, law, 1, rng, stats)
+        sequences += 1
+    return sequences / stats.histogram_draws
 
 
 def simplicity_acceptance_rate(

@@ -175,13 +175,12 @@ def _degree_law(n: int, m: int, d: int) -> truncpoisson.DegreeLaw | None:
 
     Returns None when 2m = dn: the constraint pins every degree to d, and
     no mean-matched rate exists (d is not an attainable truncated Poisson
-    mean).  The law is make_degree_law's arithmetic without its d >= 2
-    floor: at d = 1 the mean-matched law is just as well defined.
+    mean).
     """
     _check_instance(n, m, d)
     if 2 * m == d * n:
         return None
-    return truncpoisson.law_from_rate(d, truncpoisson.invert_mean(d, 2 * m / n))
+    return truncpoisson.make_degree_law(d, 2 * m / n)
 
 
 def _conditioned_histogram(

@@ -221,15 +221,13 @@ def make_degree_law(d: int, mu: float) -> DegreeLaw:
     with m edges has average degree 2m/n.
 
     Args:
-        d: Maximum degree, d >= 2.
+        d: Maximum degree, d >= 1.
         mu: Mean degree, strictly inside (0, d).
 
     Raises:
-        ValueError: If d < 2 or mu is outside (0, d) (such an instance is
+        ValueError: If d < 1 or mu is outside (0, d) (such an instance is
             degenerate or infeasible as a degree distribution).
     """
-    if d < 2:
-        raise ValueError(f"max degree must be >= 2, got {d}")
     return law_from_rate(d, invert_mean(d, mu))
 
 

@@ -142,6 +142,21 @@ class TestDuelCommand:
         assert "n=11, d=3" in payload["message"]
         assert captured.out == "" and not out.exists()
 
+    def test_zero_trials_is_one_json_error(self, tmp_path, capsys):
+        out = tmp_path / "duel.csv"
+        assert run_cli([
+            "duel", "--d", "4", "--mu-from", "1.2", "--mu-to", "1.2",
+            "--steps", "1", "--n", "100", "--trials", "0",
+            "--seed", "1", "--out", str(out),
+        ]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ValueError"
+        assert "trials" in payload["message"]
+        assert captured.out == "" and not out.exists()
+
 
 class TestOracleCommand:
     def test_count_and_uniformity(self, capsys):

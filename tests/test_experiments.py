@@ -9,6 +9,16 @@ from gnmd import components, experiments, giant, sampler, truncpoisson as tp
 from gnmd.seeding import make_rng, trial_rng
 
 
+SWEEP_HEADER = (
+    "d,mu,n,m,trials,predicted_theta,mean_largest_frac,std_largest_frac,"
+    "mean_second_frac,max_degree_dev,flags"
+)
+DUEL_HEADER = (
+    "d,mu,n,m,trials,mean_largest_frac,std_largest_frac,perc_mean_largest_frac,"
+    "perc_std_largest_frac,mu_critical,perc_mu_critical,flags"
+)
+
+
 class TestThresholdRows:
     def test_row_values(self):
         rows = {d: (crit, approx) for d, crit, approx in experiments.threshold_rows(8)}
@@ -110,7 +120,7 @@ class TestRunSweep:
         experiments.write_csv(experiments.run_sweep(self.CONFIG), p2)
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
-        assert header == ",".join(experiments.SWEEP_COLUMNS)
+        assert header == SWEEP_HEADER
 
 
 class TestPercolatedRegular:
@@ -160,13 +170,32 @@ class TestPercolationDuel:
                 3, [1.2, 2.99], n=11, trials=1, master_seed=0
             )
 
-    def test_odd_regular_degree_sum_rejected_before_sampling(self, monkeypatch):
-        def no_sampling(*args, **kwargs):
+    @pytest.fixture
+    def no_sampling(self, monkeypatch):
+        def sample_graph(*args, **kwargs):
             raise AssertionError("a graph was sampled before the input check")
 
-        monkeypatch.setattr(experiments.sampler, "sample_graph", no_sampling)
+        monkeypatch.setattr(experiments.sampler, "sample_graph", sample_graph)
+
+    def test_odd_regular_degree_sum_rejected_before_sampling(self, no_sampling):
         with pytest.raises(ValueError, match="n=11, d=3"):
             experiments.run_percolation_duel(3, [1.0], n=11, trials=1, master_seed=1)
+
+    @pytest.mark.parametrize(
+        "d, grid, trials, match",
+        [
+            (4, [1.0], 0, "trials"),
+            (4, [1.0], -2, "trials"),
+            (4, [1.0, 0.0], 1, "mu"),
+            (4, [4.0], 1, "mu"),
+            (4, [5.0], 1, "mu"),
+        ],
+    )
+    def test_bad_grid_or_trials_rejected_before_sampling(
+        self, no_sampling, d, grid, trials, match
+    ):
+        with pytest.raises(ValueError, match=match):
+            experiments.run_percolation_duel(d, grid, n=100, trials=trials, master_seed=1)
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
         args = (4, [0.5, 1.2], 300, 2, 8)
@@ -181,7 +210,39 @@ class TestPercolationDuel:
         path = tmp_path / "duel.csv"
         experiments.write_csv(rows, path)
         header = path.read_text().splitlines()[0]
-        assert header == ",".join(experiments.DUEL_COLUMNS)
+        assert header == DUEL_HEADER
+
+
+class TestWriteCsv:
+    def test_exact_text(self, tmp_path):
+        # Ints and flags go through str, floats through 10 significant digits.
+        sweep = experiments.SweepRow(
+            d=4, mu=1.2, n=100000, m=60000, trials=3,
+            predicted_theta=0.123456789876543, mean_largest_frac=math.nan,
+            std_largest_frac=0.0, mean_second_frac=math.inf,
+            max_degree_dev=2.5e-05, flags="near_critical;errors=2",
+        )
+        duel = experiments.DuelRow(
+            d=6, mu=1.5, n=2000, m=1500, trials=1,
+            mean_largest_frac=math.nan, std_largest_frac=0.0,
+            perc_mean_largest_frac=0.987654321098765, perc_std_largest_frac=1e-12,
+            mu_critical=math.inf, perc_mu_critical=1.2, flags="errors=1",
+        )
+        path = tmp_path / "rows.csv"
+        experiments.write_csv([sweep], path)
+        assert path.read_text() == (
+            SWEEP_HEADER + "\n"
+            "4,1.2,100000,60000,3,0.1234567899,nan,0,inf,2.5e-05,near_critical;errors=2\n"
+        )
+        experiments.write_csv([duel], path)
+        assert path.read_text() == (
+            DUEL_HEADER + "\n"
+            "6,1.5,2000,1500,1,nan,0,0.9876543211,1e-12,inf,1.2,errors=1\n"
+        )
+
+    def test_no_rows_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            experiments.write_csv([], tmp_path / "empty.csv")
 
 
 class TestAcceptanceProbes:

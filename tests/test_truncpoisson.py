@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gnmd import sampler, truncpoisson as tp
+from gnmd import giant, sampler, truncpoisson as tp
 
 # Rate grid for property checks: 0.01 * 2^k intersected with (0, 20].
 LAMBDA_GRID = [0.01 * 2**k for k in range(11)]
@@ -143,10 +143,17 @@ class TestDegreeLaw:
                 moment = float(np.arange(d + 1) @ law.probs)
                 assert abs(moment - tp.mean(d, lam)) <= 1e-12
 
-    @pytest.mark.parametrize("d,mu", [(1, 0.5), (3, 0.0), (3, 3.0), (3, -1.0), (3, 4.0)])
+    @pytest.mark.parametrize("d,mu", [(3, 0.0), (3, 3.0), (3, -1.0), (3, 4.0)])
     def test_make_degree_law_domain(self, d, mu):
         with pytest.raises(ValueError):
             tp.make_degree_law(d, mu)
+
+    def test_d_one_has_a_law_but_no_phase(self):
+        # The sampler needs the mean-matched law at d = 1; the phase
+        # prediction needs d >= 2.
+        np.testing.assert_allclose(tp.make_degree_law(1, 0.5).probs, [0.5, 0.5], atol=1e-12)
+        with pytest.raises(ValueError):
+            giant.predict(1, 0.5)
 
     def test_underflowed_classes_carry_zero_mass(self):
         # lam^j / j! underflows to 0 past j ~ 170 at lam = 1; the true mass
