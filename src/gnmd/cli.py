@@ -114,10 +114,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     print(f"ensemble count={ensemble.count}")
     if args.out:
         with open(args.out, "w") as fh:
-            for graph in ensemble.graphs:
+            for row in ensemble.edge_codes.tolist():
                 fh.write(f"{ensemble.n} {ensemble.m} {ensemble.d}\n")
-                for u, v in graph:
-                    fh.write(f"{u} {v}\n")
+                for code in row:
+                    fh.write("%d %d\n" % divmod(code, ensemble.n))
                 fh.write("\n")
         print(f"wrote ensemble to {args.out}")
     if args.trials:

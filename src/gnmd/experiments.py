@@ -308,11 +308,13 @@ def run_percolation_duel(
 
     Raises:
         ValueError: Before any graph is sampled, if d < 3, trials < 1, a
-            mu lies outside (0, d) or has no feasible edge count, or n*d
-            is odd (no d-regular graph exists).
+            mu lies outside (0, d) or has no feasible edge count, or n <= d
+            or n*d is odd (no d-regular graph exists).
     """
     if d < 3:
         raise ValueError(f"duel requires d >= 3, got {d}")
+    if n <= d:
+        raise ValueError(f"a {d}-regular graph needs n > d vertices, got n={n}, d={d}")
     grid = [float(v) for v in mu_grid]
     ms = _edge_counts(d, n, grid, trials)
     if (n * d) % 2:

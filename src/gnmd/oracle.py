@@ -1,7 +1,9 @@
-"""Brute-force ground truth at tiny scale.
+"""Exact ground truth for the sampler.
 
 Exhaustive enumeration of all labeled simple graphs with n vertices,
-m edges, and max degree at most d; exact distributions for sums of
+m edges and max degree at most d, kept as rows of sorted edge codes
+u*n + v; an independent exact count of the same graphs by a recursion
+over residual degree histograms; exact distributions for sums of
 truncated Poisson variables; and a frequency test of the graph sampler
 against the enumerated uniform distribution.
 """
@@ -43,27 +45,26 @@ _TALLY_BLOCK = 1 << 14
 class EnumeratedEnsemble:
     """All labeled simple graphs with the given parameters.
 
-    graphs holds one canonical edge list per graph: pairs normalized
-    (u < v) and sorted lexicographically.  edge_codes holds the same
-    graphs as rows of u*n + v codes for fast tallying.
+    edge_codes holds one graph per row as its m edge codes u*n + v
+    (u < v), sorted ascending: the canonical form the samplers use.
     """
 
     n: int
     m: int
     d: int
-    graphs: tuple[tuple[tuple[int, int], ...], ...]
     edge_codes: np.ndarray  # shape (count, m), rows sorted ascending
 
     @property
     def count(self) -> int:
-        return len(self.graphs)
+        return self.edge_codes.shape[0]
 
 
 def enumerate_graphs(n: int, m: int, d: int) -> EnumeratedEnsemble:
     """Enumerate every labeled simple graph on [0, n) with m edges, deg <= d.
 
-    Iterates over all m-subsets of the n(n-1)/2 vertex pairs and keeps the
-    subsets whose maximum degree stays within d.
+    Iterates over all m-subsets of the n(n-1)/2 vertex pairs in
+    lexicographic order, which is also the order of their edge codes, and
+    keeps the subsets whose maximum degree stays within d.
 
     Raises:
         ValueError: If n exceeds 8 or the number of m-subsets exceeds the
@@ -79,94 +80,87 @@ def enumerate_graphs(n: int, m: int, d: int) -> EnumeratedEnsemble:
         raise ValueError(
             f"refusing to enumerate {subsets} edge subsets (> {ENUMERATION_GUARD})"
         )
-    pairs = list(combinations(range(n), 2))
-    kept: list[tuple[tuple[int, int], ...]] = []
-    degree = np.zeros(n, dtype=np.int64)
-    for subset in combinations(pairs, m):
-        degree[:] = 0
+    kept = []
+    for subset in combinations(combinations(range(n), 2), m):
+        degree = [0] * n
         for u, v in subset:
             degree[u] += 1
             degree[v] += 1
-        if degree.max(initial=0) <= d:
-            kept.append(subset)
-    codes = np.array(
-        [[u * n + v for u, v in g] for g in kept], dtype=np.int64
-    ).reshape(len(kept), m)
-    return EnumeratedEnsemble(n=n, m=m, d=d, graphs=tuple(kept), edge_codes=codes)
+        if max(degree) <= d:
+            kept.append([u * n + v for u, v in subset])
+    return EnumeratedEnsemble(n, m, d, np.array(kept, dtype=np.int64).reshape(len(kept), m))
+
+
+def _splits(avail: list[int], r: int):
+    """Yield (k, prod_i C(avail[i], k[i])) for each k <= avail summing to r."""
+    if len(avail) == 1:
+        if r <= avail[0]:
+            yield (r,), math.comb(avail[0], r)
+        return
+    for k in range(min(avail[0], r) + 1):
+        for tail, ways in _splits(avail[1:], r - k):
+            yield (k, *tail), math.comb(avail[0], k) * ways
+
+
+def _histogram_counter():
+    """A fresh N(h), the labeled simple graphs with residual degree histogram h.
+
+    h[c - 1] counts the vertices of residual degree c >= 1 (degree-0
+    vertices take no edge).  N removes one vertex of the top class r and
+    joins it to k_c of the other vertices of each class c, in
+    prod_c C(h_c, k_c) ways, each moving down one class; its neighbour set
+    tells the realizations apart.  The memo is local to the returned
+    function, so it is shared within one top-level call and then dropped.
+    """
+    memo: dict[tuple[int, ...], int] = {(): 1}
+
+    def count(h: tuple[int, ...]) -> int:
+        while h and not h[-1]:
+            h = h[:-1]
+        if h not in memo:
+            rest = [*h[:-1], h[-1] - 1]
+            memo[h] = sum(
+                ways * count(tuple(a - b + c for a, b, c in zip(rest, k, (*k[1:], 0))))
+                for k, ways in _splits(rest, len(h))
+            )
+        return memo[h]
+
+    return count
+
+
+def _histograms(d: int, vertices: int, degree_sum: int):
+    """Yield every (h_1, ..., h_d) with sum_c c*h_c = degree_sum, sum h <= vertices."""
+    if d == 0:
+        if degree_sum == 0:
+            yield ()
+        return
+    for k in range(min(vertices, degree_sum // d) + 1):
+        for h in _histograms(d - 1, vertices - k, degree_sum - d * k):
+            yield (*h, k)
 
 
 def count_graphs_with_degree_sequence(degrees: tuple[int, ...] | list[int]) -> int:
     """Count labeled simple graphs realizing an exact degree sequence.
 
-    Independent of enumerate_graphs: recursively satisfies the vertex with
-    the largest remaining degree by choosing its full set of new neighbors,
-    so every realization is constructed exactly once.  Intended for tiny
-    instances (the recount cross-check of the enumeration).
+    Independent of enumerate_graphs: N(histogram of degrees), with Python
+    integers throughout.  Returns 0 for a negative entry or an odd sum.
     """
-    deg = list(degrees)
-    if any(x < 0 for x in deg):
+    if any(x < 0 for x in degrees) or sum(degrees) % 2:
         return 0
-    if sum(deg) % 2:
-        return 0
-    n = len(deg)
-    adj: list[set[int]] = [set() for _ in range(n)]
-
-    def rec() -> int:
-        i = max(range(n), key=lambda v: deg[v])
-        if deg[i] == 0:
-            return 1
-        cands = [v for v in range(n) if v != i and deg[v] > 0 and v not in adj[i]]
-        if len(cands) < deg[i]:
-            return 0
-        total = 0
-        need = deg[i]
-        deg[i] = 0
-        for chosen in combinations(cands, need):
-            for v in chosen:
-                deg[v] -= 1
-                adj[i].add(v)
-                adj[v].add(i)
-            total += rec()
-            for v in chosen:
-                deg[v] += 1
-                adj[i].remove(v)
-                adj[v].remove(i)
-        deg[i] = need
-        return total
-
-    return rec()
+    return _histogram_counter()(tuple(np.bincount(degrees, minlength=1)[1:].tolist()))
 
 
 def stratified_recount(n: int, m: int, d: int) -> int:
-    """Total graph count via degree-sequence stratification.
+    """|ensemble| as the sum of n!/prod_c h_c! * N(h) over degree histograms h.
 
-    Sums count_graphs_with_degree_sequence over every feasible degree
-    sequence; an independent route to |ensemble| used to validate
-    enumerate_graphs.
+    h = (h_0, ..., h_d) has n vertices and degree sum 2m.  Exact and
+    polynomial in n for fixed d: the independent check of enumerate_graphs.
     """
-    total = 0
-    for degrees in _degree_sequences(n, 2 * m, d):
-        total += count_graphs_with_degree_sequence(degrees)
-    return total
-
-
-def _degree_sequences(n: int, total: int, d: int):
-    """Yield all vectors in [0, d]^n with the given sum."""
-    seq = [0] * n
-
-    def rec(i: int, remaining: int):
-        if i == n - 1:
-            if remaining <= d:
-                seq[i] = remaining
-                yield tuple(seq)
-            return
-        hi = min(d, remaining)
-        lo = max(0, remaining - d * (n - 1 - i))
-        for v in range(lo, hi + 1):
-            seq[i] = v
-            yield from rec(i + 1, remaining - v)
-
-    yield from rec(0, total)
+    count = _histogram_counter()
+    return sum(
+        math.factorial(n) // math.prod(map(math.factorial, (n - sum(h), *h))) * count(h)
+        for h in _histograms(d, n, 2 * m)
+    )
 
 
 @dataclass(frozen=True)

@@ -88,8 +88,8 @@ class SimpleGraph:
 
     Edges are stored normalized (u < v) and sorted lexicographically, so
     the edge array doubles as the graph's canonical form.  Construction
-    validates all of this; the sampler builds its own output with the
-    unchecked _trusted instead.
+    validates all of this and n >= 1; the sampler builds its own output
+    with the unchecked _trusted instead.
     """
 
     n: int
@@ -101,6 +101,8 @@ class SimpleGraph:
         edges = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
         edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)
+        if self.n < 1:
+            raise ValueError(f"need at least one vertex, got n={self.n}")
         if edges.shape[0] != self.m:
             raise ValueError(f"expected {self.m} edges, got {edges.shape[0]}")
         if self.m:
@@ -438,13 +440,14 @@ def write_graph(path: str | Path, g: SimpleGraph) -> None:
 
 
 def read_graph(path: str | Path) -> SimpleGraph:
-    """Read the edge-list format written by write_graph, with validation."""
+    """Read the edge-list format written by write_graph: exactly m edge lines, validated."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 3:
             raise ValueError(f"{path}: header must be 'n m d'")
         n, m, d = (int(t) for t in header)
-        edges = np.loadtxt(fh, dtype=np.int64, ndmin=2) if m else np.empty((0, 2), int)
+        lines = [line for line in fh if line.strip()]
+    edges = np.loadtxt(lines, dtype=np.int64, ndmin=2) if lines else np.empty((0, 2), int)
     if edges.shape != (m, 2):
         raise ValueError(f"{path}: expected {m} edge lines, got {edges.shape}")
     return SimpleGraph(n=n, m=m, d=d, edges=edges)

@@ -1,14 +1,35 @@
 """CLI surface tests: subcommands, output formats, exit codes."""
 
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from gnmd import cli, sampler
+from gnmd import cli, experiments, sampler
 
 
 def run_cli(args):
     return cli.main(args)
+
+
+def one_json_error(err):
+    """The error payload of stderr that holds exactly one JSON line."""
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    payload = json.loads(lines[0])
+    assert set(payload) == {"error", "message"}
+    return payload
+
+
+def run_quietly(args):
+    """(exit code, stdout, stderr) of one CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestThresholdCommand:
@@ -95,6 +116,22 @@ class TestSampleAndComponents:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "infeasible" in payload["message"]
 
+    def test_vertexless_graph_is_one_json_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text("0 0 2\n")
+        assert run_cli(["components", "--in", str(path), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert "vertex" in one_json_error(captured.err)["message"]
+        assert captured.out == ""
+
+    def test_edge_lines_under_an_edgeless_header_are_one_json_error(self, tmp_path, capsys):
+        path = tmp_path / "extra.txt"
+        path.write_text("3 0 2\n0 1\n0 2\n")
+        assert run_cli(["components", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "expected 0 edge lines" in one_json_error(captured.err)["message"]
+        assert captured.out == ""
+
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         assert run_cli(["components", "--in", str(tmp_path / "nope.txt")]) == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -140,6 +177,23 @@ class TestDuelCommand:
         payload = json.loads(lines[0])
         assert payload["error"] == "ValueError"
         assert "n=11, d=3" in payload["message"]
+        assert captured.out == "" and not out.exists()
+
+    def test_too_few_vertices_for_the_regular_side_is_one_json_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def sample_graph(*args, **kwargs):
+            raise AssertionError("a graph was sampled before the input check")
+
+        monkeypatch.setattr(experiments.sampler, "sample_graph", sample_graph)
+        out = tmp_path / "duel.csv"
+        assert run_cli([
+            "duel", "--d", "4", "--mu-from", "1.0", "--mu-to", "1.0",
+            "--steps", "1", "--n", "2", "--trials", "1",
+            "--seed", "0", "--out", str(out),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "n=2, d=4" in one_json_error(captured.err)["message"]
         assert captured.out == "" and not out.exists()
 
     def test_zero_trials_is_one_json_error(self, tmp_path, capsys):
@@ -189,3 +243,84 @@ class TestOracleCommand:
         blocks = out.read_text().strip().split("\n\n")
         assert len(blocks) == 1
         assert blocks[0].splitlines()[0] == "3 3 2"
+
+
+# -- every failure is one JSON line on stderr and exit code 1 ------------------
+
+_labels = st.integers(-1, 7)
+_edge_line = st.one_of(
+    st.tuples(_labels, _labels).map(lambda e: f"{e[0]} {e[1]}"),
+    st.lists(_labels, max_size=3).map(lambda t: " ".join(map(str, t))),
+    st.sampled_from(["a b", "0.5 1", "1 x"]),
+)
+_header = st.one_of(
+    st.tuples(st.integers(-1, 6), st.integers(-1, 5), st.integers(-1, 4)).map(
+        lambda h: "%d %d %d" % h
+    ),
+    st.lists(st.integers(-1, 6), max_size=4).map(lambda t: " ".join(map(str, t))),
+    st.sampled_from(["", "n m d", "3 2.0 2"]),
+)
+
+
+class TestFailuresAreOneJsonLine:
+    @settings(max_examples=80, deadline=None)
+    @given(header=_header, edges=st.lists(_edge_line, max_size=5))
+    @example(header="0 0 2", edges=[])
+    @example(header="3 0 2", edges=["0 1", "0 2"])
+    @example(header="3 2 2", edges=["0 1"])
+    @example(header="3 1 2", edges=["1 0"])
+    @example(header="3 2 2", edges=["0 2", "0 1"])
+    @example(header="3 1 2", edges=["0 3"])
+    def test_components(self, tmp_path_factory, header, edges):
+        path = tmp_path_factory.mktemp("graph") / "g.txt"
+        path.write_text("\n".join([header, *edges]) + "\n")
+        code, out, err = run_quietly(["components", "--in", str(path), "--json"])
+        if code == 0:
+            # A well-formed file: its report is one JSON line on stdout.
+            assert err == "" and len(out.splitlines()) == 1
+            assert json.loads(out)["n"] >= 1
+        else:
+            assert code == 1 and out == ""
+            one_json_error(err)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(-3, 40),
+        mu=st.one_of(
+            st.floats(-10, 50), st.sampled_from([math.nan, math.inf, -math.inf, 0.0])
+        ),
+    )
+    def test_predict(self, d, mu):
+        code, out, err = run_quietly(["predict", f"--d={d}", f"--mu={mu!r}", "--json"])
+        if code == 0:
+            assert err == "" and 0.0 < json.loads(out)["mu"] < d
+        else:
+            assert code == 1 and out == ""
+            one_json_error(err)
+
+    @settings(max_examples=60, deadline=None)
+    @given(command=st.sampled_from(["sweep", "duel"]), field=st.data())
+    def test_grid_commands_with_one_argument_out_of_range(
+        self, tmp_path_factory, command, field
+    ):
+        # A valid small grid with one argument broken; every break is
+        # caught before any graph is sampled.
+        args = {"d": 4, "mu-from": 1.0, "mu-to": 1.5, "steps": 2, "n": 12, "trials": 1}
+        outside_mu = st.one_of(
+            st.floats(max_value=0.0), st.floats(min_value=4.0), st.just(math.nan)
+        )
+        breaks = {
+            "d": st.integers(-3, 1 if command == "sweep" else 2),
+            "n": st.integers(-5, 9) if command == "sweep" else st.integers(-5, 4),
+            "trials": st.integers(-5, 0),
+            "steps": st.integers(-5, 0),
+            "mu-from": outside_mu,
+            "mu-to": outside_mu,
+        }
+        name = field.draw(st.sampled_from(sorted(breaks)))
+        args[name] = field.draw(breaks[name])
+        out_path = tmp_path_factory.mktemp(command) / "rows.csv"
+        argv = [command, *(f"--{k}={v!r}" for k, v in args.items())]
+        code, out, err = run_quietly([*argv, "--seed=0", f"--out={out_path}"])
+        assert code == 1 and out == "" and not out_path.exists()
+        one_json_error(err)

@@ -181,6 +181,13 @@ class TestPercolationDuel:
         with pytest.raises(ValueError, match="n=11, d=3"):
             experiments.run_percolation_duel(3, [1.0], n=11, trials=1, master_seed=1)
 
+    @pytest.mark.parametrize("n", [4, 2, 0, -3])
+    def test_too_few_vertices_for_a_regular_graph_rejected_before_sampling(
+        self, no_sampling, n
+    ):
+        with pytest.raises(ValueError, match=f"n={n}, d=4"):
+            experiments.run_percolation_duel(4, [1.0], n, trials=1, master_seed=0)
+
     @pytest.mark.parametrize(
         "d, grid, trials, match",
         [

@@ -6,6 +6,7 @@ import os
 from collections import Counter
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -25,17 +26,32 @@ class TestEnumerate:
 
     def test_graphs_are_canonical_and_unique(self):
         ens = oracle.enumerate_graphs(5, 4, 3)
-        seen = set()
-        for graph in ens.graphs:
-            assert list(graph) == sorted(graph)
-            assert all(u < v for u, v in graph)
-            seen.add(graph)
-        assert len(seen) == ens.count
+        assert ens.edge_codes.shape == (ens.count, 4)
+        assert ens.edge_codes.dtype == np.int64
+        assert (np.diff(ens.edge_codes, axis=1) > 0).all()
+        u, v = np.divmod(ens.edge_codes, 5)
+        assert (u < v).all()
+        rows = [tuple(row) for row in ens.edge_codes.tolist()]
+        # Rows come in lexicographic order of their codes, with no repeat.
+        assert rows == sorted(set(rows))
+
+    def test_order_is_the_lexicographic_order_of_edge_subsets(self):
+        pairs = list(itertools.combinations(range(5), 2))
+        expected = [
+            [u * 5 + v for u, v in subset]
+            for subset in itertools.combinations(pairs, 4)
+            if np.bincount(np.ravel(subset), minlength=5).max() <= 2
+        ]
+        assert oracle.enumerate_graphs(5, 4, 2).edge_codes.tolist() == expected
 
     def test_degree_bound_enforced(self):
-        for graph in oracle.enumerate_graphs(5, 4, 2).graphs:
-            degrees = np.bincount(np.ravel(graph), minlength=5)
+        for row in oracle.enumerate_graphs(5, 4, 2).edge_codes:
+            degrees = np.bincount(np.ravel(np.divmod(row, 5)), minlength=5)
             assert degrees.max() <= 2
+
+    def test_edgeless_ensemble_is_one_empty_row(self):
+        ens = oracle.enumerate_graphs(3, 0, 2)
+        assert ens.count == 1 and ens.edge_codes.shape == (1, 0)
 
     def test_rejects_oversized_instances(self):
         # Within n <= 8 the subset guard cannot trip (C(28, 14) < 10^8),
@@ -46,12 +62,13 @@ class TestEnumerate:
             oracle.enumerate_graphs(5, 11, 4)  # more edges than vertex pairs
 
     def test_recount_by_degree_stratification(self):
-        # Independent total: sum over degree sequences of the number of
-        # labeled graphs realizing each, counted by backtracking.
-        for n, m, d in [(4, 3, 2), (5, 4, 2), (5, 5, 3), (6, 5, 3)]:
-            assert oracle.stratified_recount(n, m, d) == oracle.enumerate_graphs(
-                n, m, d
-            ).count
+        # Independent total: sum over degree histograms of the number of
+        # labeled graphs realizing each, counted by the histogram recursion.
+        for n, m, d in [(4, 3, 2), (5, 4, 2), (5, 5, 3), (6, 5, 3), (6, 6, 3), (7, 5, 2), (6, 7, 4)]:
+            assert oracle.stratified_recount(n, m, d) == oracle.enumerate_graphs(n, m, d).count
+
+    def test_recount_of_an_edgeless_instance(self):
+        assert oracle.stratified_recount(5, 0, 3) == 1
 
 
 class TestDegreeSequenceCounts:
@@ -73,6 +90,38 @@ class TestDegreeSequenceCounts:
 
     def test_infeasible_sequence(self):
         assert oracle.count_graphs_with_degree_sequence((3, 1)) == 0
+
+    def test_negative_entry(self):
+        assert oracle.count_graphs_with_degree_sequence((2, -1, 1)) == 0
+
+    def test_labeled_cubic_graphs(self):
+        # OEIS A002829, on 4, 6, 8, 10 and 12 vertices.
+        counts = [oracle.count_graphs_with_degree_sequence((3,) * n) for n in (4, 6, 8, 10, 12)]
+        assert counts == [1, 70, 19355, 11180820, 11555272575]
+
+    def test_labeled_quartic_graphs(self):
+        # OEIS A005815, on 5 to 9 vertices.
+        counts = [oracle.count_graphs_with_degree_sequence((4,) * n) for n in range(5, 10)]
+        assert counts == [1, 15, 465, 19355, 1024380]
+
+
+class TestStratifiedRecount:
+    def test_medium_instance_is_exact_and_fast(self):
+        start = time.perf_counter()
+        total = oracle.stratified_recount(60, 36, 4)
+        assert time.perf_counter() - start < 5.0
+        assert type(total) is int
+        assert total == 1095198915205143835987417277473676749203112445931503981509997926702749557240
+
+    def test_matches_a_sum_over_degree_sequences(self):
+        # Every degree vector in [0, d]^n with sum 2m, counted one by one.
+        n, m, d = 6, 6, 3
+        total = sum(
+            oracle.count_graphs_with_degree_sequence(x)
+            for x in itertools.product(range(d + 1), repeat=n)
+            if sum(x) == 2 * m
+        )
+        assert oracle.stratified_recount(n, m, d) == total == 3595
 
 
 class TestSumPmf:
@@ -158,7 +207,7 @@ class TestUniformityTest:
         ens = oracle.enumerate_graphs(3, 3, 2)
         assert ens.count == 1
         g = sampler.sample_graph(3, 3, 2, make_rng(0))
-        assert tuple(tuple(e) for e in g.edges.tolist()) == ens.graphs[0]
+        assert (g.edges[:, 0] * 3 + g.edges[:, 1]).tolist() == ens.edge_codes[0].tolist()
         with pytest.raises(ValueError):
             oracle.uniformity_test(ens, 1_000, seed=0)
 
@@ -188,7 +237,6 @@ class TestUniformityTest:
             n=4,
             m=3,
             d=2,
-            graphs=ens.graphs[:-1],
             edge_codes=ens.edge_codes[:-1],
         )
         with pytest.raises(RuntimeError):
@@ -205,7 +253,6 @@ class TestUniformityTest:
             n=4,
             m=3,
             d=2,
-            graphs=tuple(ens.graphs[i] for i in keep),
             edge_codes=ens.edge_codes[keep],
         )
         with pytest.raises(RuntimeError, match="not in the enumerated ensemble"):
@@ -217,7 +264,6 @@ class TestUniformityTest:
             n=9,
             m=1,
             d=1,
-            graphs=(((0, 1),), ((0, 2),)),
             edge_codes=np.array([[1], [2]], dtype=np.int64),
         )
         with pytest.raises(ValueError, match="n <= 8"):

@@ -210,6 +210,11 @@ class TestSampleGraph:
         codes = g.edges[:, 0] * g.n + g.edges[:, 1]
         assert (np.diff(codes) > 0).all()
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_a_graph_needs_a_vertex(self, n):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            sampler.SimpleGraph(n=n, m=0, d=2, edges=np.empty((0, 2), dtype=np.int64))
+
     def test_canonical_form_is_the_sorted_edge_set(self):
         n, m, d = 60, 50, 4
         rng = make_rng(3)
@@ -370,6 +375,15 @@ class TestGraphFileFormat:
         path.write_text("3 1\n0 1\n")
         with pytest.raises(ValueError):
             sampler.read_graph(path)
+
+    def test_read_requires_exactly_m_edge_lines_when_m_is_zero(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("3 0 2\n0 1\n0 2\n")
+        with pytest.raises(ValueError, match="expected 0 edge lines"):
+            sampler.read_graph(path)
+        path.write_text("3 0 2\n\n")
+        g = sampler.read_graph(path)
+        assert (g.n, g.m, g.d) == (3, 0, 2) and g.edges.shape == (0, 2)
 
     def test_read_rejects_unsorted_edges(self, tmp_path):
         path = tmp_path / "bad.txt"
