@@ -207,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, sampler.SamplingError, RuntimeError) as exc:
+    except (ValueError, OSError, MemoryError, sampler.SamplingError, RuntimeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, csgraph
 
 from .sampler import SimpleGraph
 
@@ -37,14 +36,23 @@ class ComponentReport:
 def connected_components(g: SimpleGraph) -> list[int]:
     """Component sizes of the graph, sorted descending.
 
-    Labels the components with scipy's csgraph search over the edge list
-    as a sparse adjacency matrix, then counts the labels; O(n + m).
+    Labels the components with scipy's csgraph search, then counts the
+    labels; O(n + m).  The canonical edge array (u < v, sorted) is already
+    the upper triangle of the adjacency matrix in CSR order, so row u's
+    entries are the v of its edges and the row pointers are the running
+    count of edges per u.  The column indices are int32, which read_graph's
+    bound on n guarantees.
     """
-    adjacency = coo_matrix(
-        (np.ones(g.m, dtype=np.int8), (g.edges[:, 0], g.edges[:, 1])),
-        shape=(g.n, g.n),
+    # Imported on first use, so that importing gnmd loads no scipy.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components as label_components
+
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(g.edges[:, 0], minlength=g.n), out=indptr[1:])
+    adjacency = csr_matrix(
+        (np.ones(g.m), g.edges[:, 1].astype(np.int32), indptr), shape=(g.n, g.n)
     )
-    _, labels = csgraph.connected_components(adjacency, directed=False)
+    _, labels = label_components(adjacency, directed=False)
     return np.sort(np.bincount(labels))[::-1].tolist()
 
 

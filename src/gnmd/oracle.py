@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.special import chdtri
 
 from . import sampler as sampler_mod
 from . import truncpoisson
@@ -286,6 +285,9 @@ def uniformity_test(
     tv = 0.5 * float(np.abs(observed / trials - 1.0 / ensemble.count).sum())
     chi2 = float(((observed - expected) ** 2 / expected).sum())
     dof = ensemble.count - 1
+    # Imported on first use, so that importing gnmd loads no scipy.
+    from scipy.special import chdtri
+
     q999 = float(chdtri(dof, 0.001))
     return UniformityReport(
         count=ensemble.count,

@@ -77,6 +77,10 @@ SIMPLICITY_CAP = 1_000
 
 _HISTOGRAM_BATCH = 256
 
+#: Largest vertex count read_graph accepts: the int32 index limit of the
+#: sparse adjacency matrix that components builds.
+MAX_VERTICES = 2**31 - 1
+
 
 class SamplingError(RuntimeError):
     """A retry budget was exhausted; carries a diagnostic message."""
@@ -318,11 +322,17 @@ def is_simple(tokens: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     u, v = tokens[:, 0::2], tokens[:, 1::2]
     simple = ~np.any(u == v, axis=1)
-    u, v = u[simple], v[simple]
-    codes = np.sort(np.minimum(u, v) * n + np.maximum(u, v), axis=1)
-    distinct = ~np.any(np.diff(codes, axis=1) == 0, axis=1)
+    if not simple.any():
+        return np.empty((0, u.shape[1]), dtype=np.int64), simple
+    if not simple.all():
+        u, v = u[simple], v[simple]
+    codes = np.minimum(u, v)
+    codes *= n
+    codes += np.maximum(u, v)
+    codes.sort(axis=1)
+    distinct = np.all(codes[:, 1:] != codes[:, :-1], axis=1)
     simple[simple] = distinct
-    return codes[distinct], simple
+    return (codes if distinct.all() else codes[distinct]), simple
 
 
 def _attempts(
@@ -440,12 +450,19 @@ def write_graph(path: str | Path, g: SimpleGraph) -> None:
 
 
 def read_graph(path: str | Path) -> SimpleGraph:
-    """Read the edge-list format written by write_graph: exactly m edge lines, validated."""
+    """Read the edge-list format written by write_graph: exactly m edge lines, validated.
+
+    Raises:
+        ValueError: If the file is malformed, the graph is invalid, or n
+            exceeds MAX_VERTICES.
+    """
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 3:
             raise ValueError(f"{path}: header must be 'n m d'")
         n, m, d = (int(t) for t in header)
+        if n > MAX_VERTICES:
+            raise ValueError(f"{path}: n={n} exceeds the limit of {MAX_VERTICES} vertices")
         lines = [line for line in fh if line.strip()]
     edges = np.loadtxt(lines, dtype=np.int64, ndmin=2) if lines else np.empty((0, 2), int)
     if edges.shape != (m, 2):

@@ -180,7 +180,10 @@ def invert_mean(k: int, target: float) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    # A subnormal target leaves the bracket (0, 5e-324), whose midpoint
+    # rounds to 0.0; the bracket's top is then the positive rate.
+    return mid if mid > 0.0 else hi
 
 
 def law_from_rate(d: int, lam: float) -> DegreeLaw:

@@ -132,6 +132,18 @@ class TestSampleAndComponents:
         assert "expected 0 edge lines" in one_json_error(captured.err)["message"]
         assert captured.out == ""
 
+    def test_memory_error_is_one_json_error(self, tmp_path, monkeypatch, capsys):
+        def read_graph(path):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(sampler, "read_graph", read_graph)
+        assert run_cli(["components", "--in", str(tmp_path / "g.txt")]) == 1
+        captured = capsys.readouterr()
+        assert one_json_error(captured.err) == {
+            "error": "MemoryError", "message": "cannot allocate"
+        }
+        assert captured.out == ""
+
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         assert run_cli(["components", "--in", str(tmp_path / "nope.txt")]) == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -266,6 +278,7 @@ class TestFailuresAreOneJsonLine:
     @settings(max_examples=80, deadline=None)
     @given(header=_header, edges=st.lists(_edge_line, max_size=5))
     @example(header="0 0 2", edges=[])
+    @example(header="10000000000000 0 2", edges=[])
     @example(header="3 0 2", edges=["0 1", "0 2"])
     @example(header="3 2 2", edges=["0 1"])
     @example(header="3 1 2", edges=["1 0"])

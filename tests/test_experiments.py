@@ -1,6 +1,11 @@
 """Tests for the experiment harness: sweeps, duels, acceptance-rate probes."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,3 +287,30 @@ class TestWorkerCount:
         monkeypatch.setenv("GNMD_WORKERS", "lots")
         with pytest.raises(ValueError):
             experiments.worker_count()
+
+    def test_pool_opens_with_csgraph_loaded(self):
+        # Forked workers inherit the parent's modules, so the driver loads
+        # csgraph before it opens the pool.  A fresh interpreter starts
+        # without it, and a thread pool stands in for the process pool.
+        code = textwrap.dedent(
+            """
+            import sys
+            from concurrent.futures import ThreadPoolExecutor
+            from gnmd import experiments
+
+            loaded = []
+
+            class Pool(ThreadPoolExecutor):
+                def __init__(self, max_workers):
+                    loaded.append("scipy.sparse.csgraph" in sys.modules)
+                    super().__init__(max_workers)
+
+            experiments.ProcessPoolExecutor = Pool
+            assert "scipy.sparse.csgraph" not in sys.modules
+            experiments.run_sweep(experiments.SweepConfig(4, (1.0, 1.5), 20, 2, 5))
+            assert loaded == [True], loaded
+            """
+        )
+        src = Path(experiments.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "GNMD_WORKERS": "2"}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

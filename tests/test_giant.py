@@ -210,6 +210,12 @@ class TestPredict:
             assert math.isinf(pred.mu_critical)
             assert not pred.near_critical
 
+    def test_subnormal_mean_degree_is_subcritical(self):
+        for d in range(2, 41):
+            pred = giant.predict(d, 5e-324)
+            assert pred.phase is giant.Phase.SUBCRITICAL
+            assert pred.lam > 0.0 and pred.giant_fraction is None
+
     def test_json_dict_is_serializable(self):
         import json
 

@@ -162,6 +162,34 @@ class TestIsSimple:
         assert simple.tolist() == [True, False, True, False, True]
         assert codes.tolist() == [[3, 6], [3, 6], [1, 11]]
 
+    def test_rows_all_with_a_loop_give_an_empty_int64_block(self):
+        codes, simple = sampler.is_simple(np.array([[0, 0, 1, 2], [1, 2, 2, 2]]), 3)
+        assert simple.tolist() == [False, False]
+        assert codes.shape == (0, 2) and codes.dtype == np.int64
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_agrees_with_judging_rows_one_by_one(self, seed):
+        # A mixed batch, its loop-free rows and its simple rows take the
+        # three branches: some rows dropped, no row with a loop, none dropped.
+        n = 5
+        tokens = make_rng(seed).integers(0, n, size=(60, 6))
+
+        def judge(row):
+            pairs = [(min(u, v), max(u, v)) for u, v in zip(row[0::2], row[1::2])]
+            codes = sorted(u * n + v for u, v in pairs)
+            return all(u < v for u, v in pairs) and len(set(codes)) == len(codes), codes
+
+        verdicts = [judge(row) for row in tokens.tolist()]
+        loop_free = ~np.any(tokens[:, 0::2] == tokens[:, 1::2], axis=1)
+        simple_rows = np.array([ok for ok, _ in verdicts])
+        assert 0 < simple_rows.sum() < loop_free.sum() < len(tokens)
+        for mask in (np.ones(len(tokens), dtype=bool), loop_free, simple_rows):
+            batch = [v for v, keep in zip(verdicts, mask) if keep]
+            codes, simple = sampler.is_simple(tokens[mask], n)
+            assert simple.tolist() == [ok for ok, _ in batch]
+            assert codes.dtype == np.int64
+            assert codes.tolist() == [c for ok, c in batch if ok]
+
 
 class TestAlphaDiagnostic:
     def test_zero_when_no_degree_exceeds_one(self):
@@ -384,6 +412,14 @@ class TestGraphFileFormat:
         path.write_text("3 0 2\n\n")
         g = sampler.read_graph(path)
         assert (g.n, g.m, g.d) == (3, 0, 2) and g.edges.shape == (0, 2)
+
+    @pytest.mark.parametrize("n", [2**31, 10**13])
+    def test_read_rejects_a_vertex_count_past_the_index_limit(self, tmp_path, n):
+        # Rejected from the header, before any n-sized array is allocated.
+        path = tmp_path / "huge.txt"
+        path.write_text(f"{n} 0 2\n")
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            sampler.read_graph(path)
 
     def test_read_rejects_unsorted_edges(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -104,6 +104,12 @@ class TestInvertMean:
         assert tp.mean(k, lam) == pytest.approx(target, rel=1e-12)
         assert tp.make_degree_law(k, target).mu == pytest.approx(target, rel=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 4, 40])
+    def test_subnormal_target_gives_a_positive_rate(self, k):
+        # The final bracket is (0, 5e-324), whose midpoint rounds to 0.0.
+        assert tp.invert_mean(k, 5e-324) == 5e-324
+        assert tp.invert_mean(k, 1e-323) == 1e-323
+
     @pytest.mark.parametrize("target", [0.0, -0.5, 2.0, 2.5])
     def test_rejects_out_of_range_target(self, target):
         with pytest.raises(ValueError):
