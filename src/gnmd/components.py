@@ -33,26 +33,29 @@ class ComponentReport:
     m: int
 
 
+def _sparse():
+    """scipy.sparse with its csgraph submodule, imported on first use.
+
+    Importing gnmd loads no scipy.  The grid driver calls this before it
+    forks its process pool, so that the workers inherit the import.
+    """
+    import scipy.sparse.csgraph
+
+    return scipy.sparse
+
+
 def connected_components(g: SimpleGraph) -> list[int]:
     """Component sizes of the graph, sorted descending.
 
-    Labels the components with scipy's csgraph search, then counts the
-    labels; O(n + m).  The canonical edge array (u < v, sorted) is already
-    the upper triangle of the adjacency matrix in CSR order, so row u's
-    entries are the v of its edges and the row pointers are the running
-    count of edges per u.  The column indices are int32, which read_graph's
-    bound on n guarantees.
+    Labels the components with scipy's csgraph search over the edge list
+    as a sparse adjacency matrix, then counts the labels; O(n + m).
     """
-    # Imported on first use, so that importing gnmd loads no scipy.
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components as label_components
-
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(g.edges[:, 0], minlength=g.n), out=indptr[1:])
-    adjacency = csr_matrix(
-        (np.ones(g.m), g.edges[:, 1].astype(np.int32), indptr), shape=(g.n, g.n)
+    sparse = _sparse()
+    adjacency = sparse.coo_matrix(
+        (np.ones(g.m, dtype=np.int8), (g.edges[:, 0], g.edges[:, 1])),
+        shape=(g.n, g.n),
     )
-    _, labels = label_components(adjacency, directed=False)
+    _, labels = sparse.csgraph.connected_components(adjacency, directed=False)
     return np.sort(np.bincount(labels))[::-1].tolist()
 
 

@@ -170,11 +170,10 @@ def _run_trials(worker, args_list: list, workers: int) -> list:
     """worker(a) for each a in args_list, in order, on one pool if workers > 1."""
     if workers <= 1 or len(args_list) <= 1:
         return [worker(a) for a in args_list]
-    # components imports scipy's csgraph on first use.  Load it here, once:
-    # the pool's workers fork from this process and inherit it, where each
+    # components imports scipy on first use.  Load it here, once: the
+    # pool's workers fork from this process and inherit it, where each
     # worker of each run would otherwise import it again (~0.5 s).
-    import scipy.sparse.csgraph  # noqa: F401
-
+    components._sparse()
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, args_list))
 

@@ -77,8 +77,8 @@ SIMPLICITY_CAP = 1_000
 
 _HISTOGRAM_BATCH = 256
 
-#: Largest vertex count read_graph accepts: the int32 index limit of the
-#: sparse adjacency matrix that components builds.
+#: Largest vertex count read_graph accepts: scipy's csgraph, which
+#: components uses, labels vertices with int32.
 MAX_VERTICES = 2**31 - 1
 
 
@@ -322,17 +322,14 @@ def is_simple(tokens: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     u, v = tokens[:, 0::2], tokens[:, 1::2]
     simple = ~np.any(u == v, axis=1)
-    if not simple.any():
-        return np.empty((0, u.shape[1]), dtype=np.int64), simple
-    if not simple.all():
-        u, v = u[simple], v[simple]
+    u, v = u[simple], v[simple]
     codes = np.minimum(u, v)
     codes *= n
     codes += np.maximum(u, v)
     codes.sort(axis=1)
     distinct = np.all(codes[:, 1:] != codes[:, :-1], axis=1)
     simple[simple] = distinct
-    return (codes if distinct.all() else codes[distinct]), simple
+    return codes[distinct], simple
 
 
 def _attempts(

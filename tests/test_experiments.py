@@ -288,27 +288,35 @@ class TestWorkerCount:
         with pytest.raises(ValueError):
             experiments.worker_count()
 
-    def test_pool_opens_with_csgraph_loaded(self):
+    def test_pool_opens_with_scipy_loaded(self):
         # Forked workers inherit the parent's modules, so the driver loads
-        # csgraph before it opens the pool.  A fresh interpreter starts
-        # without it, and a thread pool stands in for the process pool.
+        # what components needs of scipy before it opens the pool.  A fresh
+        # interpreter starts without it, and a thread pool stands in for
+        # the process pool: its workers load any module they still lack
+        # into this process, where the check below finds it.
         code = textwrap.dedent(
             """
             import sys
             from concurrent.futures import ThreadPoolExecutor
             from gnmd import experiments
 
-            loaded = []
+            opened = []
 
             class Pool(ThreadPoolExecutor):
                 def __init__(self, max_workers):
-                    loaded.append("scipy.sparse.csgraph" in sys.modules)
+                    opened.append(set(sys.modules))
                     super().__init__(max_workers)
 
+            def scipy_modules(names):
+                return {m for m in names if m.split(".")[0] == "scipy"}
+
             experiments.ProcessPoolExecutor = Pool
-            assert "scipy.sparse.csgraph" not in sys.modules
+            assert not scipy_modules(sys.modules)
             experiments.run_sweep(experiments.SweepConfig(4, (1.0, 1.5), 20, 2, 5))
-            assert loaded == [True], loaded
+            (loaded,) = opened
+            assert "scipy.sparse.csgraph" in loaded
+            late = scipy_modules(sys.modules) - loaded
+            assert not late, sorted(late)
             """
         )
         src = Path(experiments.__file__).resolve().parents[1]

@@ -162,15 +162,10 @@ class TestIsSimple:
         assert simple.tolist() == [True, False, True, False, True]
         assert codes.tolist() == [[3, 6], [3, 6], [1, 11]]
 
-    def test_rows_all_with_a_loop_give_an_empty_int64_block(self):
-        codes, simple = sampler.is_simple(np.array([[0, 0, 1, 2], [1, 2, 2, 2]]), 3)
-        assert simple.tolist() == [False, False]
-        assert codes.shape == (0, 2) and codes.dtype == np.int64
-
     @pytest.mark.parametrize("seed", range(3))
     def test_agrees_with_judging_rows_one_by_one(self, seed):
-        # A mixed batch, its loop-free rows and its simple rows take the
-        # three branches: some rows dropped, no row with a loop, none dropped.
+        # A mixed batch, its loop-free rows, its simple rows and its rows
+        # with a loop: some rows dropped, none with a loop, none dropped, all.
         n = 5
         tokens = make_rng(seed).integers(0, n, size=(60, 6))
 
@@ -183,11 +178,11 @@ class TestIsSimple:
         loop_free = ~np.any(tokens[:, 0::2] == tokens[:, 1::2], axis=1)
         simple_rows = np.array([ok for ok, _ in verdicts])
         assert 0 < simple_rows.sum() < loop_free.sum() < len(tokens)
-        for mask in (np.ones(len(tokens), dtype=bool), loop_free, simple_rows):
+        for mask in (np.ones(len(tokens), dtype=bool), loop_free, simple_rows, ~loop_free):
             batch = [v for v, keep in zip(verdicts, mask) if keep]
             codes, simple = sampler.is_simple(tokens[mask], n)
             assert simple.tolist() == [ok for ok, _ in batch]
-            assert codes.dtype == np.int64
+            assert codes.dtype == np.int64 and codes.shape[1] == 3
             assert codes.tolist() == [c for ok, c in batch if ok]
 
 
