@@ -114,11 +114,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     print(f"ensemble count={ensemble.count}")
     if args.out:
         with open(args.out, "w") as fh:
-            for row in ensemble.edge_codes.tolist():
-                fh.write(f"{ensemble.n} {ensemble.m} {ensemble.d}\n")
-                for code in row:
-                    fh.write("%d %d\n" % divmod(code, ensemble.n))
-                fh.write("\n")
+            for row in ensemble.edge_codes:
+                fh.write(sampler.format_graph(ensemble.n, ensemble.d, row) + "\n")
         print(f"wrote ensemble to {args.out}")
     if args.trials:
         start = time.perf_counter()

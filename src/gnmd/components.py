@@ -51,10 +51,8 @@ def connected_components(g: SimpleGraph) -> list[int]:
     as a sparse adjacency matrix, then counts the labels; O(n + m).
     """
     sparse = _sparse()
-    adjacency = sparse.coo_matrix(
-        (np.ones(g.m, dtype=np.int8), (g.edges[:, 0], g.edges[:, 1])),
-        shape=(g.n, g.n),
-    )
+    ones = np.ones(g.m, dtype=np.int8)
+    adjacency = sparse.coo_matrix((ones, np.divmod(g.codes, g.n)), shape=(g.n, g.n))
     _, labels = sparse.csgraph.connected_components(adjacency, directed=False)
     return np.sort(np.bincount(labels))[::-1].tolist()
 

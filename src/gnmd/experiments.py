@@ -275,7 +275,7 @@ def sample_percolated_regular(
         raise ValueError(f"retention probability must lie in [0, 1], got {retain}")
     g = sampler.sample_graph(n, n * d // 2, d, rng)
     keep = rng.random(g.m) < retain
-    return sampler.SimpleGraph._trusted(n, d, g.edges[keep])
+    return sampler.SimpleGraph._trusted(n, d, g.codes[keep])
 
 
 def _duel_trial(task: tuple[int, int, int, float, int, int]) -> tuple[tuple | None, str]:

@@ -223,9 +223,9 @@ def _tally(
     alien = np.nonzero(sorted_keys[pos] != keys)[0]
     if alien.size:
         row = codes[np.argmax(row_keys == keys[alien[0]])]
-        decoded = [(int(code) // ensemble.n, int(code) % ensemble.n) for code in row]
+        graph = sampler_mod.SimpleGraph._trusted(ensemble.n, ensemble.d, row)
         raise RuntimeError(
-            f"sampled graph {decoded} is not in the enumerated ensemble; "
+            f"sampled graph {graph.edges.tolist()} is not in the enumerated ensemble; "
             "the sampler violates its support"
         )
     observed = np.zeros(ensemble.count, dtype=np.int64)

@@ -61,6 +61,7 @@ __all__ = [
     "is_simple",
     "sample_graph",
     "sample_edge_codes",
+    "format_graph",
     "write_graph",
     "read_graph",
 ]
@@ -88,53 +89,54 @@ class SamplingError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimpleGraph:
-    """Simple labeled graph with max degree at most d.
+    """Simple labeled graph with max degree at most d, stored as its canonical form.
 
-    Edges are stored normalized (u < v) and sorted lexicographically, so
-    the edge array doubles as the graph's canonical form.  Construction
-    validates all of this and n >= 1; the sampler builds its own output
-    with the unchecked _trusted instead.
+    codes holds each edge (u < v) as u*n + v: a frozen, strictly increasing
+    int64 vector.  edges decodes it on each access to an (m, 2) int64 array
+    in lexicographic order.  Construction checks the codes and n >= 1.
     """
 
     n: int
-    m: int
     d: int
-    edges: np.ndarray  # shape (m, 2), u < v, lexicographically sorted
+    codes: np.ndarray  # shape (m,), strictly increasing
 
     def __post_init__(self) -> None:
-        edges = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        edges.setflags(write=False)
-        object.__setattr__(self, "edges", edges)
+        codes = np.array(self.codes, dtype=np.int64)
+        codes.setflags(write=False)
+        object.__setattr__(self, "codes", codes)
         if self.n < 1:
             raise ValueError(f"need at least one vertex, got n={self.n}")
-        if edges.shape[0] != self.m:
-            raise ValueError(f"expected {self.m} edges, got {edges.shape[0]}")
-        if self.m:
-            if edges.min() < 0 or edges.max() >= self.n:
-                raise ValueError(f"vertex labels must lie in [0, {self.n})")
-            if np.any(edges[:, 0] >= edges[:, 1]):
-                raise ValueError("edges must be normalized with u < v")
-            codes = edges[:, 0] * self.n + edges[:, 1]
-            if np.any(np.diff(codes) <= 0):
-                raise ValueError("edges must be sorted and duplicate-free")
+        if codes.ndim != 1:
+            raise ValueError(f"codes must be a vector, got shape {codes.shape}")
+        u, v = np.divmod(codes, self.n)
+        if not np.all((0 <= u) & (u < v)):
+            raise ValueError(f"edge codes must decode to pairs 0 <= u < v < n={self.n}")
+        if np.any(np.diff(codes) <= 0):
+            raise ValueError("edge codes must be sorted and duplicate-free")
         if self.degrees().max(initial=0) > self.d:
             raise ValueError(f"a vertex exceeds the degree bound {self.d}")
 
     @classmethod
-    def _trusted(cls, n: int, d: int, edges: np.ndarray) -> SimpleGraph:
-        """Wrap an int64 (m, 2) edge array that is already canonical, unchecked.
+    def _trusted(cls, n: int, d: int, codes: np.ndarray) -> SimpleGraph:
+        """Wrap canonical int64 codes unchecked: the kernel's output, a valid graph's subset.
 
-        For the kernel's output and for edge subsets of a valid graph.  The
-        array is frozen in place, so the caller must not keep writing to it.
+        The vector is frozen in place, so the caller must not keep writing to it.
         """
+        codes.setflags(write=False)
         g = object.__new__(cls)
-        edges.setflags(write=False)
-        for name, value in (("n", n), ("m", edges.shape[0]), ("d", d), ("edges", edges)):
-            object.__setattr__(g, name, value)
+        g.__dict__.update(n=n, d=d, codes=codes)
         return g
 
+    @property
+    def m(self) -> int:
+        return self.codes.size
+
+    @property
+    def edges(self) -> np.ndarray:
+        return np.column_stack(np.divmod(self.codes, self.n))
+
     def degrees(self) -> np.ndarray:
-        return np.bincount(self.edges.ravel(), minlength=self.n)
+        return np.bincount(np.concatenate(np.divmod(self.codes, self.n)), minlength=self.n)
 
 
 @dataclass
@@ -382,7 +384,7 @@ def sample_graph(
     for _ in range(SIMPLICITY_CAP):
         codes = _attempts(n, m, d, law, 1, rng, stats)
         if len(codes):
-            return SimpleGraph._trusted(n, d, np.column_stack(np.divmod(codes[0], n)))
+            return SimpleGraph._trusted(n, d, codes[0])
     raise SamplingError(
         f"no simple pairing in {SIMPLICITY_CAP} restarts for "
         f"(n={n}, m={m}, d={d}); the simple graphs of this instance are "
@@ -434,24 +436,24 @@ def sample_edge_codes(
     return out
 
 
-def write_graph(path: str | Path, g: SimpleGraph) -> None:
-    """Write the text edge-list format: header "n m d", then "u v" lines.
+def format_graph(n: int, d: int, codes: np.ndarray) -> str:
+    """The graph file text: a header "n m d", then "u v" per sorted edge code u*n + v."""
+    u, v = np.divmod(codes, n)
+    lines = "".join(f"{a} {b}\n" for a, b in zip(u.tolist(), v.tolist()))
+    return f"{n} {len(codes)} {d}\n{lines}"
 
-    Edge lines have u < v and appear in lexicographic order; vertices are
-    0-indexed.  This is the interchange format the components CLI reads.
-    """
-    with open(path, "w") as fh:
-        fh.write(f"{g.n} {g.m} {g.d}\n")
-        for u, v in g.edges:
-            fh.write(f"{u} {v}\n")
+
+def write_graph(path: str | Path, g: SimpleGraph) -> None:
+    """Write g to `path` in the format of format_graph."""
+    Path(path).write_text(format_graph(g.n, g.d, g.codes))
 
 
 def read_graph(path: str | Path) -> SimpleGraph:
-    """Read the edge-list format written by write_graph: exactly m edge lines, validated.
+    """Read the format written by write_graph: exactly m edge lines, validated.
 
     Raises:
-        ValueError: If the file is malformed, the graph is invalid, or n
-            exceeds MAX_VERTICES.
+        ValueError: If the file is malformed, a label lies outside [0, n),
+            the graph is invalid, or n exceeds MAX_VERTICES.
     """
     with open(path) as fh:
         header = fh.readline().split()
@@ -464,4 +466,7 @@ def read_graph(path: str | Path) -> SimpleGraph:
     edges = np.loadtxt(lines, dtype=np.int64, ndmin=2) if lines else np.empty((0, 2), int)
     if edges.shape != (m, 2):
         raise ValueError(f"{path}: expected {m} edge lines, got {edges.shape}")
-    return SimpleGraph(n=n, m=m, d=d, edges=edges)
+    # Checked before encoding: at n = 10, "0 15" would encode to the valid edge (1, 5).
+    if m and (edges.min() < 0 or edges.max() >= n):
+        raise ValueError(f"{path}: vertex labels must lie in [0, {n})")
+    return SimpleGraph(n, d, edges[:, 0] * n + edges[:, 1])

@@ -2,13 +2,14 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gnmd import cli, experiments, sampler
+from gnmd import cli, experiments, oracle, sampler
 
 
 def run_cli(args):
@@ -248,13 +249,23 @@ class TestOracleCommand:
         assert rate * wall == pytest.approx(2000, rel=0.01)
 
     def test_ensemble_file_blocks(self, tmp_path, capsys):
+        # Any two of the six edges of K4 keep every degree <= 2, so the
+        # ensemble is all 15 pairs, in lexicographic order.
         out = tmp_path / "ens.txt"
         assert run_cli([
-            "oracle", "--n", "3", "--m", "3", "--d", "2", "--out", str(out),
+            "oracle", "--n", "4", "--m", "2", "--d", "2", "--out", str(out),
         ]) == 0
+        pairs = itertools.combinations(itertools.combinations(range(4), 2), 2)
+        assert out.read_text() == "".join(
+            f"4 2 2\n{a} {b}\n{c} {e}\n\n" for (a, b), (c, e) in pairs
+        )
+        ensemble = oracle.enumerate_graphs(4, 2, 2)
         blocks = out.read_text().strip().split("\n\n")
-        assert len(blocks) == 1
-        assert blocks[0].splitlines()[0] == "3 3 2"
+        assert len(blocks) == ensemble.count == 15
+        for i, (block, row) in enumerate(zip(blocks, ensemble.edge_codes)):
+            path = tmp_path / f"graph{i}.txt"
+            path.write_text(block + "\n")
+            assert sampler.read_graph(path).codes.tolist() == row.tolist()
 
 
 # -- every failure is one JSON line on stderr and exit code 1 ------------------

@@ -8,9 +8,8 @@ from gnmd.seeding import make_rng
 
 
 def graph_from_edges(n, d, edge_list):
-    edges = np.array(sorted(tuple(sorted(e)) for e in edge_list), dtype=np.int64)
-    edges = edges.reshape(len(edge_list), 2)
-    return sampler.SimpleGraph(n=n, m=len(edge_list), d=d, edges=edges)
+    codes = sorted(min(e) * n + max(e) for e in edge_list)
+    return sampler.SimpleGraph(n=n, d=d, codes=codes)
 
 
 def bfs_component_sizes(g):
@@ -39,7 +38,7 @@ def bfs_component_sizes(g):
 
 class TestConnectedComponents:
     def test_edgeless_graph(self):
-        g = sampler.SimpleGraph(n=5, m=0, d=2, edges=np.empty((0, 2), dtype=np.int64))
+        g = sampler.SimpleGraph(n=5, d=2, codes=[])
         assert components.connected_components(g) == [1, 1, 1, 1, 1]
 
     def test_path_plus_isolated(self):
@@ -64,11 +63,11 @@ class TestConnectedComponents:
         if m:
             g = sampler.sample_graph(n, m, d, rng)
         else:
-            g = sampler.SimpleGraph(n=n, m=0, d=d, edges=np.empty((0, 2), dtype=np.int64))
+            g = sampler.SimpleGraph(n=n, d=d, codes=[])
         # Percolate half the edges away so that isolated vertices and many
         # small components appear.
         keep = rng.random(g.m) < 0.5
-        g = sampler.SimpleGraph(n=n, m=int(keep.sum()), d=d, edges=g.edges[keep])
+        g = sampler.SimpleGraph(n=n, d=d, codes=g.codes[keep])
         assert components.connected_components(g) == bfs_component_sizes(g)
 
 
@@ -102,9 +101,7 @@ class TestReport:
         codes, simple = sampler.is_simple(tokens, 5)
         assert simple.all()
         r1, r2 = (
-            components.report(
-                sampler.SimpleGraph(n=5, m=3, d=2, edges=np.column_stack(np.divmod(row, 5)))
-            )
+            components.report(sampler.SimpleGraph(n=5, d=2, codes=row))
             for row in codes
         )
         assert r1 == r2

@@ -150,7 +150,7 @@ class TestPercolatedRegular:
         g = experiments.sample_percolated_regular(2000, 4, 0.3, make_rng(5))
         assert 2 * g.m / 2000 == pytest.approx(4 * 0.3, abs=0.15)
         # The kept edge subset, built unchecked, passes the public validation.
-        sampler.SimpleGraph(n=g.n, m=g.m, d=g.d, edges=g.edges)
+        sampler.SimpleGraph(n=g.n, d=g.d, codes=g.codes)
 
 
 class TestPercolationDuel:

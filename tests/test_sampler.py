@@ -226,17 +226,40 @@ class TestSampleGraph:
     def test_invariants_hold(self):
         g = sampler.sample_graph(500, 400, 4, make_rng(8))
         # The kernel's unchecked output passes the public validation.
-        sampler.SimpleGraph(n=g.n, m=g.m, d=g.d, edges=g.edges)
+        rebuilt = sampler.SimpleGraph(n=g.n, d=g.d, codes=g.codes)
+        assert (rebuilt.codes == g.codes).all()
         assert g.m == 400
         assert g.degrees().max() <= 4
         assert (g.edges[:, 0] < g.edges[:, 1]).all()
-        codes = g.edges[:, 0] * g.n + g.edges[:, 1]
-        assert (np.diff(codes) > 0).all()
+        assert (np.diff(g.codes) > 0).all()
 
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_a_graph_needs_a_vertex(self, n):
-        with pytest.raises(ValueError, match="at least one vertex"):
-            sampler.SimpleGraph(n=n, m=0, d=2, edges=np.empty((0, 2), dtype=np.int64))
+    @pytest.mark.parametrize(
+        "n, d, codes, match",
+        [
+            (0, 2, [], "at least one vertex"),
+            (-1, 2, [], "at least one vertex"),
+            (3, 2, [5, 1], "sorted and duplicate-free"),
+            (3, 2, [1, 1], "sorted and duplicate-free"),
+            (3, 2, [-1, 1], "0 <= u < v"),
+            (3, 2, [4], "0 <= u < v"),  # (1, 1)
+            (3, 2, [3], "0 <= u < v"),  # (1, 0)
+            (3, 1, [1, 2], "degree bound"),  # vertex 0 has degree 2
+            (3, 2, [[1, 2]], "vector"),
+            (3, 2, [1, 2, 5], None),
+            (1, 0, [], None),
+        ],
+        ids=[
+            "no-vertex", "negative-n", "unsorted", "duplicated", "negative-code",
+            "loop", "reversed", "over-degree", "matrix", "triangle", "edgeless",
+        ],
+    )
+    def test_constructor_checks_the_codes(self, n, d, codes, match):
+        if match is None:
+            g = sampler.SimpleGraph(n=n, d=d, codes=codes)
+            assert g.codes.tolist() == codes and g.m == len(codes)
+            return
+        with pytest.raises(ValueError, match=match):
+            sampler.SimpleGraph(n=n, d=d, codes=codes)
 
     def test_canonical_form_is_the_sorted_edge_set(self):
         n, m, d = 60, 50, 4
@@ -303,7 +326,7 @@ class TestBulkSampler:
         rng = make_rng(31)
         for _ in range(trials):
             g = sampler.sample_graph(4, 3, 2, rng)
-            key = (g.edges[:, 0] * 4 + g.edges[:, 1]).tobytes()
+            key = g.codes.tobytes()
             scalar[index[key]] += 1
         bulk = np.zeros(ens.count)
         for row in sampler.sample_edge_codes(4, 3, 2, trials, make_rng(32)):
@@ -375,7 +398,7 @@ class TestBulkSamplerProperty:
             g = sampler.sample_graph(n, m, d, make_rng(seed))
         except sampler.SamplingError:
             return  # K6 and other near-complete instances pair simply rarely
-        assert tuple((g.edges[:, 0] * n + g.edges[:, 1]).tolist()) in support
+        assert tuple(g.codes.tolist()) in support
 
 
 class TestGraphFileFormat:
@@ -385,7 +408,7 @@ class TestGraphFileFormat:
         sampler.write_graph(path, g)
         back = sampler.read_graph(path)
         assert back.n == g.n and back.m == g.m and back.d == g.d
-        assert (back.edges == g.edges).all()
+        assert (back.codes == g.codes).all()
 
     def test_format_layout(self, tmp_path):
         g = sampler.sample_graph(2, 1, 3, make_rng(0))
@@ -414,6 +437,15 @@ class TestGraphFileFormat:
         path = tmp_path / "huge.txt"
         path.write_text(f"{n} 0 2\n")
         with pytest.raises(ValueError, match="exceeds the limit"):
+            sampler.read_graph(path)
+
+    @pytest.mark.parametrize("line", ["0 15", "-1 15"])
+    def test_read_rejects_labels_that_would_alias(self, tmp_path, line):
+        # Encoded unchecked as u*10 + v, these would decode to (1, 5) and
+        # (0, 5), both valid edges.
+        path = tmp_path / "bad.txt"
+        path.write_text(f"10 1 4\n{line}\n")
+        with pytest.raises(ValueError, match="vertex labels"):
             sampler.read_graph(path)
 
     def test_read_rejects_unsorted_edges(self, tmp_path):

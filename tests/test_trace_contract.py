@@ -9,9 +9,10 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gnmd import sampler
+from gnmd import components, sampler
 from gnmd.seeding import make_rng
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -59,3 +60,17 @@ def test_stages_are_called_through_module_globals(monkeypatch, draw):
         monkeypatch.setattr(sampler, name, wrapper)
     draw()
     assert {"sample_degree_sequence", "pair_configuration", "is_simple"} <= set(calls)
+
+
+def test_a_graph_offers_what_the_benchmark_checks_read():
+    # bench/workloads.py check_graph and write_graph read these.
+    g = sampler.sample_graph(200, 150, 4, make_rng(4))
+    assert (g.n, g.m) == (200, 150)
+    assert g.degrees().shape == (200,) and g.degrees().sum() == 300
+    edges = g.edges
+    assert edges.dtype == np.int64 and edges.shape == (g.m, 2)
+    assert (edges == np.column_stack(np.divmod(g.codes, g.n))).all()
+    assert (edges[:, 0] < edges[:, 1]).all()
+    assert (np.lexsort((edges[:, 1], edges[:, 0])) == np.arange(g.m)).all()
+    rep = components.report(g)
+    assert sum(rep.sizes) == g.n and rep.m == g.m
