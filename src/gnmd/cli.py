@@ -81,6 +81,9 @@ def _cmd_components(args: argparse.Namespace) -> int:
 def _mu_grid(args: argparse.Namespace) -> list[float]:
     if args.steps < 1:
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
+    for flag, bound in (("--mu-from", args.mu_from), ("--mu-to", args.mu_to)):
+        if not math.isfinite(bound):
+            raise ValueError(f"{flag} must be finite, got {bound}")
     if args.steps == 1:
         return [args.mu_from]
     return list(np.linspace(args.mu_from, args.mu_to, args.steps))

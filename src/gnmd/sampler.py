@@ -1,7 +1,7 @@
 """Exactly uniform sampling of graphs with m edges and max degree at most d.
 
-One attempt kernel serves both samplers.  It runs a batch of attempts
-through three stages:
+One sampling loop serves both samplers.  It runs batches of attempts,
+each through three stages:
 
 1. sample_degree_sequence draws a degree vector per attempt: n i.i.d.
    truncated Poisson degrees conditioned on summing to exactly 2m.  The
@@ -23,10 +23,12 @@ simple graph is hit with the same per-attempt probability and rejection
 preserves the proportionality.  Re-pairing a kept vector would instead
 bias graphs by the vector's simplicity probability.
 
-sample_graph runs the kernel one attempt at a time until an attempt is
-simple; sample_edge_codes runs it on whole chunks of attempts and keeps
-the simple ones in attempt order.  The degree stage conditions on the sum
-by one of two routes, chosen by the batch size:
+The loop keeps the simple attempts in attempt order until it has as many
+graphs as asked for; sample_graph runs it on batches of one attempt and
+sample_edge_codes on whole chunks.  One restart rule bounds it:
+SamplingError once SIMPLICITY_CAP batches in a row keep no attempt.  The
+degree stage conditions on the sum by one of two routes, chosen by the
+batch size:
 
 - One attempt: through the degree histogram.  The class counts of an
   i.i.d. degree vector are multinomial, the sum constraint depends on the
@@ -71,9 +73,10 @@ __all__ = [
 #: roughly 10^4 expected lifetimes before giving up.
 SEQUENCE_CAP_FACTOR = 10_000
 
-#: Simplicity restarts allowed per sampled graph.  The simplicity
-#: acceptance probability is bounded away from zero in n for fixed (d, mu),
-#: so hitting this cap indicates a pathological parameterization.
+#: Batches in a row that may keep no simple attempt before the sampling loop
+#: gives up: 1000 restarts for sample_graph, 1000 chunks (up to 8.2e6 attempts)
+#: for sample_edge_codes.  Simplicity is bounded away from zero in n for fixed
+#: (d, mu), so hitting this cap indicates a pathological parameterization.
 SIMPLICITY_CAP = 1_000
 
 _HISTOGRAM_BATCH = 256
@@ -334,27 +337,47 @@ def is_simple(tokens: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return codes[distinct], simple
 
 
-def _attempts(
+def _simple_codes(
     n: int,
     m: int,
     d: int,
-    law: truncpoisson.DegreeLaw | None,
+    count: int,
     rows: int,
     rng: np.random.Generator,
     stats: SamplerStats | None,
 ) -> np.ndarray:
-    """Run a batch of `rows` attempts; the simple ones' sorted codes, in order.
+    """The sampling loop: `count` simple attempts' sorted codes, in attempt order.
 
-    The stages are called through the module's globals, so a wrapper
-    installed on this module sees each of them.
+    Runs batches of `rows` attempts until `count` are simple, or raises
+    SamplingError once SIMPLICITY_CAP batches in a row keep none.  The
+    stages are called through the module's globals, so a wrapper installed
+    on this module sees each of them.
     """
-    degrees = sample_degree_sequence(n, m, d, law, rows, rng, stats)
-    codes, simple = is_simple(pair_configuration(degrees, m, rng), n)
-    if stats is not None:
-        stats.pairings += simple.size
-        stats.simple += int(simple.sum())
-        stats.alpha_total += float((degrees * (degrees - 1)).sum() / (2 * m))
-    return codes
+    law = _degree_law(n, m, d)
+    kept = []
+    filled = misses = 0
+    while filled < count:
+        degrees = sample_degree_sequence(n, m, d, law, rows, rng, stats)
+        codes, simple = is_simple(pair_configuration(degrees, m, rng), n)
+        if stats is not None:
+            stats.pairings += simple.size
+            stats.simple += int(simple.sum())
+            stats.alpha_total += float((degrees * (degrees - 1)).sum() / (2 * m))
+        del degrees  # freed before the next batch is drawn, where memory peaks
+        if not len(codes):
+            misses += 1
+            if misses == SIMPLICITY_CAP:
+                raise SamplingError(
+                    f"no simple pairing in {SIMPLICITY_CAP * rows} attempts in a row for "
+                    f"(n={n}, m={m}, d={d}); the simple graphs of this instance are "
+                    "vanishingly rare under the configuration pairing"
+                )
+            continue
+        kept.append(codes[: count - filled])
+        filled += len(kept[-1])
+        misses = 0
+    # A single kept batch, as in every sample_graph call, is returned uncopied.
+    return kept[0] if len(kept) == 1 else np.concatenate(kept)
 
 
 def sample_graph(
@@ -366,8 +389,8 @@ def sample_graph(
 ) -> SimpleGraph:
     """Sample a uniform graph on n vertices with m edges and max degree <= d.
 
-    Runs the kernel one attempt at a time {fresh degree sequence; fresh
-    pairing} until the pairing is simple.  Determinism: identical
+    Runs the sampling loop one attempt at a time {fresh degree sequence;
+    fresh pairing} until the pairing is simple.  Determinism: identical
     (n, m, d) and generator state produce the identical graph.
 
     Args:
@@ -376,20 +399,11 @@ def sample_graph(
 
     Raises:
         ValueError: If the instance is infeasible (2m > dn).
-        SamplingError: If a retry budget is exhausted (pathological
-            parameters, e.g. an instance whose rare feasible sequences
-            almost never pair simply).
+        SamplingError: If a degree sequence exhausts its histogram draws or
+            SIMPLICITY_CAP attempts in a row pair with a defect (pathological
+            parameters, e.g. an instance with no simple graph).
     """
-    law = _degree_law(n, m, d)
-    for _ in range(SIMPLICITY_CAP):
-        codes = _attempts(n, m, d, law, 1, rng, stats)
-        if len(codes):
-            return SimpleGraph._trusted(n, d, codes[0])
-    raise SamplingError(
-        f"no simple pairing in {SIMPLICITY_CAP} restarts for "
-        f"(n={n}, m={m}, d={d}); the simple graphs of this instance are "
-        "vanishingly rare under the configuration pairing"
-    )
+    return SimpleGraph._trusted(n, d, _simple_codes(n, m, d, 1, 1, rng, stats)[0])
 
 
 def sample_edge_codes(
@@ -403,7 +417,7 @@ def sample_edge_codes(
 
     Row k holds the k-th sampled graph as its m edge codes u*n + v
     (u < v), sorted ascending -- the same canonical form SimpleGraph uses.
-    This is sample_graph's kernel run on whole chunks of attempts, keeping
+    This is sample_graph's loop run on whole chunks of attempts, keeping
     the simple ones in attempt order, so that tiny instances can be
     sampled millions of times in vectorized numpy.  A chunk conditions its
     degree vectors by completing the last degree, so the output has the
@@ -411,29 +425,16 @@ def sample_edge_codes(
 
     Intended for uniformity testing at small n; a chunk holds at most
     about 4e6 tokens.
+
+    Raises:
+        ValueError: If the instance is infeasible or count < 1.
+        SamplingError: If SIMPLICITY_CAP chunks in a row keep no graph.
     """
-    law = _degree_law(n, m, d)
+    _check_instance(n, m, d)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rows = max(64, min(8192, 4_000_000 // max(n, 2 * m)))
-    out = np.empty((count, m), dtype=np.int64)
-    filled = 0
-    attempts = 0
-    # Budget mirrors the scalar caps: conditioning draws per kept sequence
-    # times simplicity restarts per kept graph.
-    budget = SIMPLICITY_CAP * math.ceil(SEQUENCE_CAP_FACTOR * math.sqrt(n))
-    while filled < count:
-        if attempts > budget and filled == 0:
-            raise SamplingError(
-                f"no graph produced after {attempts} bulk attempts for "
-                f"(n={n}, m={m}, d={d})"
-            )
-        attempts += rows
-        good = _attempts(n, m, d, law, rows, rng, None)
-        take = min(len(good), count - filled)
-        out[filled : filled + take] = good[:take]
-        filled += take
-    return out
+    return _simple_codes(n, m, d, count, rows, rng, None)
 
 
 def format_graph(n: int, d: int, codes: np.ndarray) -> str:

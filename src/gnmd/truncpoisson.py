@@ -37,11 +37,6 @@ __all__ = [
     "critical_mean_degree_approx",
 ]
 
-#: Guaranteed absolute tolerance on the rate returned by invert_mean.  The
-#: bisection actually runs until float resolution, so achieved accuracy is
-#: far better; thresholds are only ever quoted to ~5 decimals anyway.
-RATE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class DegreeLaw:
@@ -152,7 +147,7 @@ def invert_mean(k: int, target: float) -> float:
     The mean function is strictly increasing from (0, inf) onto (0, k), so
     the preimage exists and is unique.  The root is bracketed by doubling
     the upper endpoint until the mean exceeds the target, then bisected to
-    an absolute rate tolerance of RATE_TOL.
+    float resolution, until the midpoint rounds onto an endpoint.
 
     Args:
         k: Truncation degree, k >= 1.

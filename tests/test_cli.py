@@ -285,6 +285,27 @@ _header = st.one_of(
 )
 
 
+@st.composite
+def _grid_break(draw):
+    """(command, argument, value): one sweep or duel argument out of range."""
+    command = draw(st.sampled_from(["sweep", "duel"]))
+    outside_mu = st.one_of(
+        st.floats(max_value=0.0), st.floats(min_value=4.0), st.just(math.nan)
+    )
+    breaks = {
+        "d": st.integers(-3, 1 if command == "sweep" else 2),
+        "n": st.integers(-5, 9) if command == "sweep" else st.integers(-5, 4),
+        "trials": st.integers(-5, 0),
+        "steps": st.integers(-5, 0),
+        "mu-from": outside_mu,
+        "mu-to": outside_mu,
+    }
+    name = draw(st.sampled_from(sorted(breaks)))
+    return command, name, draw(breaks[name])
+
+
+# A numpy warning on the way to a failure would print before its JSON line.
+@pytest.mark.filterwarnings("error")
 class TestFailuresAreOneJsonLine:
     @settings(max_examples=80, deadline=None)
     @given(header=_header, edges=st.lists(_edge_line, max_size=5))
@@ -323,28 +344,19 @@ class TestFailuresAreOneJsonLine:
             one_json_error(err)
 
     @settings(max_examples=60, deadline=None)
-    @given(command=st.sampled_from(["sweep", "duel"]), field=st.data())
-    def test_grid_commands_with_one_argument_out_of_range(
-        self, tmp_path_factory, command, field
-    ):
+    @given(case=_grid_break())
+    @example(case=("sweep", "mu-to", math.inf))
+    @example(case=("duel", "mu-from", -math.inf))
+    def test_grid_commands_with_one_argument_out_of_range(self, tmp_path_factory, case):
         # A valid small grid with one argument broken; every break is
         # caught before any graph is sampled.
+        command, name, value = case
         args = {"d": 4, "mu-from": 1.0, "mu-to": 1.5, "steps": 2, "n": 12, "trials": 1}
-        outside_mu = st.one_of(
-            st.floats(max_value=0.0), st.floats(min_value=4.0), st.just(math.nan)
-        )
-        breaks = {
-            "d": st.integers(-3, 1 if command == "sweep" else 2),
-            "n": st.integers(-5, 9) if command == "sweep" else st.integers(-5, 4),
-            "trials": st.integers(-5, 0),
-            "steps": st.integers(-5, 0),
-            "mu-from": outside_mu,
-            "mu-to": outside_mu,
-        }
-        name = field.draw(st.sampled_from(sorted(breaks)))
-        args[name] = field.draw(breaks[name])
+        args[name] = value
         out_path = tmp_path_factory.mktemp(command) / "rows.csv"
         argv = [command, *(f"--{k}={v!r}" for k, v in args.items())]
         code, out, err = run_quietly([*argv, "--seed=0", f"--out={out_path}"])
         assert code == 1 and out == "" and not out_path.exists()
-        one_json_error(err)
+        message = one_json_error(err)["message"]
+        if name.startswith("mu") and math.isinf(value):
+            assert f"--{name} must be finite, got {value}" in message

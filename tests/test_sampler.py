@@ -295,8 +295,10 @@ class TestSampleGraph:
 
     def test_empty_ensemble_trips_retry_cap(self):
         # n=1, m=1, d=2 forces a loop every time; no simple graph exists.
+        stats = sampler.SamplerStats()
         with pytest.raises(sampler.SamplingError):
-            sampler.sample_graph(1, 1, 2, make_rng(0))
+            sampler.sample_graph(1, 1, 2, make_rng(0), stats)
+        assert stats.pairings == sampler.SIMPLICITY_CAP and stats.simple == 0
 
     def test_infeasible_instance_rejected(self):
         with pytest.raises(ValueError):
@@ -360,6 +362,13 @@ class TestBulkSampler:
             u, v = row // 8, row % 8
             degrees = np.bincount(np.concatenate([u, v]), minlength=8)
             assert (degrees == 3).all()
+
+    def test_empty_ensemble_trips_retry_cap(self):
+        # Two vertices of degree 2 pair into a double edge or two loops:
+        # no simple graph exists, so every chunk of 8192 attempts keeps nothing.
+        budget = sampler.SIMPLICITY_CAP * 8192
+        with pytest.raises(sampler.SamplingError, match=f"{budget} attempts in a row"):
+            sampler.sample_edge_codes(2, 2, 2, 1, make_rng(0))
 
 
 @st.composite
