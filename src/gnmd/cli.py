@@ -35,7 +35,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         print(json.dumps(pred.to_json_dict()))
         return 0
     crit = "inf" if math.isinf(pred.mu_critical) else f"{pred.mu_critical:.7f}"
-    print(f"d={pred.d} mu={pred.mu:.6g} lam={pred.lam:.10g}")
+    print(f"d={pred.d} mu={pred.mu:.6g} lam={pred.law.lam:.10g}")
     print(f"molloy_reed_q={pred.q:.10g} mu_critical={crit}")
     print(f"phase={pred.phase.value}")
     if pred.near_critical:

@@ -166,18 +166,6 @@ def _flags(near_critical: bool, errors: int) -> str:
     return ";".join(flags)
 
 
-def _run_trials(worker, args_list: list, workers: int) -> list:
-    """worker(a) for each a in args_list, in order, on one pool if workers > 1."""
-    if workers <= 1 or len(args_list) <= 1:
-        return [worker(a) for a in args_list]
-    # components imports scipy on first use.  Load it here, once: the
-    # pool's workers fork from this process and inherit it, where each
-    # worker of each run would otherwise import it again (~0.5 s).
-    components._sparse()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, args_list))
-
-
 def _run_grid(
     trial,
     d: int,
@@ -186,38 +174,45 @@ def _run_grid(
     ms: Sequence[int],
     trials: int,
     master_seed: int,
-    workers: int,
-) -> list[tuple[list, int]]:
-    """Run `trials` trials per grid point; per point, (values, errors).
+) -> list[list]:
+    """Run `trials` trials per grid point; per point, the successful values.
 
     Trial t of point k gets the task (d, n, m, mu, master_seed, k*trials + t)
-    and returns (values, error), error "" on success.  A point keeps the
-    values of its successful trials, in order, and counts the others.
+    and returns its values, or None when sampling failed.  The tasks run in
+    order, on one process pool when worker_count() > 1.  A point keeps the
+    values of its successful trials, in order.
     """
     tasks = [
         (d, n, m, mu, master_seed, k * trials + t)
         for k, (mu, m) in enumerate(zip(grid, ms))
         for t in range(trials)
     ]
-    results = _run_trials(trial, tasks, workers)
-    points = []
-    for k in range(len(ms)):
-        chunk = results[k * trials : (k + 1) * trials]
-        ok = [values for values, error in chunk if not error]
-        points.append((ok, trials - len(ok)))
-    return points
+    workers = worker_count()
+    if workers <= 1 or len(tasks) <= 1:
+        results = [trial(task) for task in tasks]
+    else:
+        # components imports scipy on first use.  Load it here, once: the
+        # pool's workers fork from this process and inherit it, where each
+        # worker of each run would otherwise import it again (~0.5 s).
+        components._sparse()
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(trial, tasks))
+    return [
+        [values for values in results[k * trials : (k + 1) * trials] if values is not None]
+        for k in range(len(ms))
+    ]
 
 
-def _sweep_trial(task: tuple[int, int, int, float, int, int]) -> tuple[tuple | None, str]:
-    """One sweep trial: ((largest_frac, second_frac, degree_counts), error)."""
+def _sweep_trial(task: tuple[int, int, int, float, int, int]) -> tuple | None:
+    """One sweep trial: (largest_frac, second_frac, degree_counts), or None."""
     d, n, m, _, master_seed, index = task
     rng = trial_rng(master_seed, index)
     try:
         g = sampler.sample_graph(n, m, d, rng)
-    except sampler.SamplingError as exc:
-        return None, str(exc)
+    except sampler.SamplingError:
+        return None
     rep = components.report(g)
-    return (rep.largest_fraction, rep.second_fraction, rep.degree_counts), ""
+    return rep.largest_fraction, rep.second_fraction, rep.degree_counts
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
@@ -231,11 +226,9 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """
     d, n, trials = config.d, config.n, config.trials
     ms = _edge_counts(d, n, config.mu_grid, trials)
-    points = _run_grid(
-        _sweep_trial, d, n, config.mu_grid, ms, trials, config.master_seed, worker_count()
-    )
+    points = _run_grid(_sweep_trial, d, n, config.mu_grid, ms, trials, config.master_seed)
     rows: list[SweepRow] = []
-    for mu, m, (ok, errors) in zip(config.mu_grid, ms, points):
+    for mu, m, ok in zip(config.mu_grid, ms, points):
         prediction = giant.predict(d, mu)
         devs = [
             float(np.abs(np.asarray(counts) / n - prediction.law.probs).max())
@@ -253,7 +246,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
                 std_largest_frac=_std([largest for largest, _, _ in ok]),
                 mean_second_frac=_mean([second for _, second, _ in ok]),
                 max_degree_dev=_mean(devs),
-                flags=_flags(prediction.near_critical, errors),
+                flags=_flags(prediction.near_critical, trials - len(ok)),
             )
         )
     return rows
@@ -278,8 +271,8 @@ def sample_percolated_regular(
     return sampler.SimpleGraph._trusted(n, d, g.codes[keep])
 
 
-def _duel_trial(task: tuple[int, int, int, float, int, int]) -> tuple[tuple | None, str]:
-    """One duel trial: ((bounded largest_frac, percolated largest_frac), error)."""
+def _duel_trial(task: tuple[int, int, int, float, int, int]) -> tuple | None:
+    """One duel trial: (bounded largest_frac, percolated largest_frac), or None."""
     d, n, m, mu, master_seed, index = task
     rng = trial_rng(master_seed, index)
     try:
@@ -288,9 +281,9 @@ def _duel_trial(task: tuple[int, int, int, float, int, int]) -> tuple[tuple | No
         perc = components.report(
             sample_percolated_regular(n, d, mu / d, rng)
         ).largest_fraction
-    except sampler.SamplingError as exc:
-        return None, str(exc)
-    return (bounded, perc), ""
+    except sampler.SamplingError:
+        return None
+    return bounded, perc
 
 
 def run_percolation_duel(
@@ -325,7 +318,7 @@ def run_percolation_duel(
         raise ValueError(
             f"n*d must be even for the d-regular side of the duel, got n={n}, d={d}"
         )
-    points = _run_grid(_duel_trial, d, n, grid, ms, trials, master_seed, worker_count())
+    points = _run_grid(_duel_trial, d, n, grid, ms, trials, master_seed)
     mu_critical = truncpoisson.critical_mean_degree(d)
     return [
         DuelRow(
@@ -340,9 +333,9 @@ def run_percolation_duel(
             perc_std_largest_frac=_std([perc for _, perc in ok]),
             mu_critical=mu_critical,
             perc_mu_critical=1.0 + 1.0 / (d - 1),
-            flags=_flags(False, errors),
+            flags=_flags(False, trials - len(ok)),
         )
-        for mu, m, (ok, errors) in zip(grid, ms, points)
+        for mu, m, ok in zip(grid, ms, points)
     ]
 
 

@@ -1,9 +1,10 @@
 """Phase classification and giant-component size prediction.
 
-For a degree distribution (p_0, ..., p_d) with mean D = sum i p_i and
-generating functions G0(s) = sum p_i s^i and G1(s) = G0'(s) / D, a
-half-edge leads to a finite component with probability xi, the largest
-root in [0, 1) of the size-biased fixed point
+For a degree distribution (p_0, ..., p_d), a DegreeLaw or a bare vector
+checked by truncpoisson.as_probs, with mean D = sum i p_i and generating
+functions G0(s) = sum p_i s^i and G1(s) = G0'(s) / D, a half-edge leads
+to a finite component with probability xi, the largest root in [0, 1) of
+the size-biased fixed point
 
     xi = G1(xi)
 
@@ -63,16 +64,6 @@ class Phase(str, Enum):
     SUPERCRITICAL = "supercritical"
 
 
-def _as_probs(law: Any) -> np.ndarray:
-    """Accept a DegreeLaw or any probability vector over degrees 0..d."""
-    probs = np.asarray(getattr(law, "probs", law), dtype=float)
-    if probs.ndim != 1 or probs.size < 2:
-        raise ValueError("degree distribution must be a vector over degrees 0..d")
-    if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError("degree distribution must be nonnegative and sum to 1")
-    return probs
-
-
 def _degree_mean(probs: np.ndarray) -> float:
     return float(np.arange(probs.size) @ probs)
 
@@ -90,7 +81,7 @@ def exploration_frontier(law: DegreeLaw | Sequence[float], x: float) -> float:
         ValueError: If x falls outside [0, D/2]; half-integer powers of
             1 - 2x/D are undefined past the midpoint.
     """
-    probs = _as_probs(law)
+    probs = truncpoisson.as_probs(law)
     big_d = _degree_mean(probs)
     x = float(x)
     if not (0.0 <= x <= big_d / 2.0 + 1e-15):
@@ -116,16 +107,16 @@ def frontier_root(law: DegreeLaw | Sequence[float]) -> float:
     p_1 = 0, e.g. for a single-atom degree distribution.
 
     Raises:
-        ValueError: If Q <= 0 (subcritical; no positive root is promised).
+        ValueError: If d < 2 or Q <= 0 (no positive root is promised).
     """
-    probs = _as_probs(law)
-    i = np.arange(probs.size)
-    q = float((i * (i - 2)) @ probs)
+    probs = truncpoisson.as_probs(law)
+    q = truncpoisson.molloy_reed_q(law)
     if q <= 0:
         raise ValueError(f"frontier root requires Molloy-Reed value > 0, got {q!r}")
     big_d = _degree_mean(probs)
     # Coefficients of D xi - sum_i i p_i xi^(i-1), in increasing powers.
-    coeffs = -i[1:] * probs[1:]
+    i = np.arange(1, probs.size)
+    coeffs = -i * probs[1:]
     coeffs[1] += big_d
     deflated, _ = P.polydiv(coeffs, [-1.0, 1.0])
     roots = P.polyroots(deflated)
@@ -153,7 +144,7 @@ def giant_fraction(law: DegreeLaw | Sequence[float], root: float) -> float:
     Raises:
         ValueError: If root falls outside (0, D/2].
     """
-    probs = _as_probs(law)
+    probs = truncpoisson.as_probs(law)
     big_d = _degree_mean(probs)
     root = float(root)
     if not (0.0 < root <= big_d / 2.0 + 1e-15):
@@ -170,12 +161,8 @@ class PhasePrediction:
     Attributes:
         d: Maximum degree.
         mu: Mean degree (2m/n).
-        lam: Rate of the matching truncated Poisson degree law.
         q: Molloy-Reed value of the law; its sign decides the phase.
         mu_critical: Critical mean degree for this d (math.inf when d = 2).
-        degree_mean: Mean degree recomputed from the probability vector;
-            agrees with mu to float precision and is kept as a
-            consistency diagnostic.
         phase: Subcritical (all components small) or supercritical
             (unique giant component).
         near_critical: True when |mu - mu_critical| < NEAR_CRITICAL_BAND;
@@ -185,15 +172,14 @@ class PhasePrediction:
             only, else None).
         giant_fraction: Predicted giant-component fraction (supercritical
             only, else None).
-        law: The underlying degree law.
+        law: The mean-mu degree law; its rate law.lam and its mean law.mu
+            are the JSON keys "lam" and "degree_mean".
     """
 
     d: int
     mu: float
-    lam: float
     q: float
     mu_critical: float
-    degree_mean: float
     phase: Phase
     near_critical: bool
     frontier_root_x: float | None
@@ -205,10 +191,10 @@ class PhasePrediction:
         return {
             "d": self.d,
             "mu": self.mu,
-            "lam": self.lam,
+            "lam": self.law.lam,
             "q": self.q,
             "mu_critical": "inf" if math.isinf(self.mu_critical) else self.mu_critical,
-            "degree_mean": self.degree_mean,
+            "degree_mean": self.law.mu,
             "phase": self.phase.value,
             "near_critical": self.near_critical,
             "frontier_root": self.frontier_root_x,
@@ -242,10 +228,8 @@ def predict(d: int, mu: float) -> PhasePrediction:
     return PhasePrediction(
         d=d,
         mu=float(mu),
-        lam=law.lam,
         q=q,
         mu_critical=mu_critical,
-        degree_mean=law.mu,
         phase=phase,
         near_critical=near,
         frontier_root_x=root,

@@ -14,18 +14,21 @@ which is exactly the expectation of the d-truncated Poisson law and is
 strictly increasing in lam, mapping (0, inf) onto (0, d).  That bijection
 is what lets us parameterize degree laws by their mean instead of by the
 rate, and it defines the critical mean degree separating the phase with
-all components small from the phase with a giant component.
+all components small from the phase with a giant component.  molloy_reed_q
+and giant's functions also take a bare probability vector, checked by as_probs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "DegreeLaw",
+    "as_probs",
     "partial_exp_sum",
     "mean",
     "invert_mean",
@@ -49,9 +52,8 @@ class DegreeLaw:
         probs: Probability vector of length d + 1 with
             probs[i] = lam^i / (i! * s_d(lam)).  All entries are finite,
             non-negative and sum to 1.  law_from_rate gives an entry 0
-            only when its term lam^i / i! (or, where the terms overflow,
-            its ratio to the largest term) underflows, so the mass a zero
-            class drops is below 1e-300.
+            only when its ratio to the largest term underflows, so the
+            mass a zero class drops is below 1e-300.
     """
 
     d: int
@@ -60,19 +62,15 @@ class DegreeLaw:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        probs = np.array(self.probs, dtype=float)  # private copy, frozen below
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
         if self.d < 1:
             raise ValueError(f"max degree must be >= 1, got {self.d}")
+        probs = as_probs(self.probs)  # private copy, frozen below
         if probs.shape != (self.d + 1,):
             raise ValueError(
                 f"probs must have length d + 1 = {self.d + 1}, got {probs.shape}"
             )
-        if not np.all(np.isfinite(probs) & (probs >= 0)):
-            raise ValueError("degree-class probabilities must be finite and >= 0")
-        if abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probs must sum to 1, got {probs.sum()!r}")
+        probs.setflags(write=False)
+        object.__setattr__(self, "probs", probs)
         mu = float(np.arange(self.d + 1) @ probs)
         if abs(mu - self.mu) > 1e-12:
             raise ValueError(f"mean of probs is {mu!r}, does not match mu={self.mu!r}")
@@ -82,6 +80,23 @@ class DegreeLaw:
         cum = np.cumsum(self.probs)
         cum[-1] = 1.0
         return cum
+
+
+def as_probs(law: DegreeLaw | Sequence[float]) -> np.ndarray:
+    """A DegreeLaw's own probability vector, or a checked copy of a bare one.
+
+    A bare vector must be 1-D with d >= 1, finite, >= 0 and sum to 1 within 1e-12.
+    """
+    if isinstance(law, DegreeLaw):
+        return law.probs
+    probs = np.array(law, dtype=float)
+    if probs.ndim != 1 or probs.size < 2:
+        raise ValueError("degree distribution must be a vector over degrees 0..d")
+    if not np.all(np.isfinite(probs) & (probs >= 0)):
+        raise ValueError("degree-class probabilities must be finite and >= 0")
+    if abs(probs.sum() - 1.0) > 1e-12:
+        raise ValueError(f"probs must sum to 1, got {probs.sum()!r}")
+    return probs
 
 
 def _check_rate(lam: float) -> float:
@@ -189,24 +204,16 @@ def law_from_rate(d: int, lam: float) -> DegreeLaw:
     lam = _check_rate(lam)
     if d < 1:
         raise ValueError(f"max degree must be >= 1, got {d}")
+    # Scale every class by the largest one, at j = min(d, floor(lam)), so
+    # that no term exceeds 1 and none overflows, however large lam is.
     terms = np.empty(d + 1)
-    terms[0] = term = 1.0
-    for j in range(1, d + 1):
-        # Python floats: an overflow gives inf without a numpy warning.
-        term = term * lam / j
-        terms[j] = term
-    total = terms.sum()
-    if not math.isfinite(total):
-        # lam^j / j! overflows: scale every class by the largest one, at
-        # j = min(d, floor(lam)), so that no term exceeds 1.
-        peak = min(d, int(lam))
-        terms[peak] = 1.0
-        for j in range(peak + 1, d + 1):
-            terms[j] = terms[j - 1] * lam / j
-        for j in range(peak, 0, -1):
-            terms[j - 1] = terms[j] * j / lam
-        total = terms.sum()
-    probs = terms / total
+    peak = min(d, int(lam))
+    terms[peak] = 1.0
+    for j in range(peak + 1, d + 1):
+        terms[j] = terms[j - 1] * lam / j
+    for j in range(peak, 0, -1):
+        terms[j - 1] = terms[j] * j / lam
+    probs = terms / terms.sum()
     mu = float(np.arange(d + 1) @ probs)
     return DegreeLaw(d=d, lam=lam, mu=mu, probs=probs)
 
@@ -240,22 +247,23 @@ def variance(law: DegreeLaw) -> float:
     return float((i * i) @ law.probs - law.mu**2)
 
 
-def molloy_reed_q(law: DegreeLaw) -> float:
+def molloy_reed_q(law: DegreeLaw | Sequence[float]) -> float:
     """Molloy-Reed criterion value Q = sum_i i(i-2) probs[i].
 
     The sign of Q classifies the phase of a random graph with this degree
     distribution: Q < 0 means all components stay small, Q > 0 means a
-    giant component emerges.  Q also has the closed form
-    mean(d, lam) * (mean(d-1, lam) - 1), which agrees with the moment sum
-    to full precision and is exercised by the test suite.
+    giant component emerges.  For a truncated Poisson law Q also has the
+    closed form mean(d, lam) * (mean(d-1, lam) - 1), which agrees with the
+    moment sum to full precision and is exercised by the test suite.
 
     Raises:
-        ValueError: If law.d < 2.
+        ValueError: If d < 2, or a bare vector fails as_probs.
     """
-    if law.d < 2:
-        raise ValueError(f"phase classification needs max degree >= 2, got {law.d}")
-    i = np.arange(law.d + 1)
-    return float((i * (i - 2)) @ law.probs)
+    probs = as_probs(law)
+    if probs.size < 3:
+        raise ValueError(f"phase classification needs max degree >= 2, got {probs.size - 1}")
+    i = np.arange(probs.size)
+    return float((i * (i - 2)) @ probs)
 
 
 def molloy_reed_q_closed_form(law: DegreeLaw) -> float:

@@ -9,7 +9,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gnmd import cli, experiments, oracle, sampler
+from gnmd import cli, experiments, giant, oracle, sampler
 
 
 def run_cli(args):
@@ -64,6 +64,11 @@ class TestPredictCommand:
     def test_json_output(self, capsys):
         assert run_cli(["predict", "--d", "4", "--mu", "1.2", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == [
+            "d", "mu", "lam", "q", "mu_critical", "degree_mean", "phase",
+            "near_critical", "frontier_root", "giant_fraction", "probs",
+        ]
+        assert payload["lam"] == giant.predict(4, 1.2).law.lam
         assert payload["phase"] == "supercritical"
         assert 0 < payload["giant_fraction"] < 1
         assert len(payload["probs"]) == 5

@@ -184,7 +184,7 @@ class TestPredict:
     def test_degree_mean_matches_mu(self):
         for d, mu in [(3, 1.5), (4, 0.9), (7, 4.2)]:
             pred = giant.predict(d, mu)
-            assert abs(pred.degree_mean - mu) <= 1e-10
+            assert abs(pred.law.mu - mu) <= 1e-10
 
     @pytest.mark.parametrize(
         "d, mu",
@@ -214,7 +214,7 @@ class TestPredict:
         for d in range(2, 41):
             pred = giant.predict(d, 5e-324)
             assert pred.phase is giant.Phase.SUBCRITICAL
-            assert pred.lam > 0.0 and pred.giant_fraction is None
+            assert pred.law.lam > 0.0 and pred.giant_fraction is None
 
     def test_json_dict_is_serializable(self):
         import json

@@ -11,6 +11,21 @@ from gnmd import giant, sampler, truncpoisson as tp
 # Rate grid for property checks: 0.01 * 2^k intersected with (0, 20].
 LAMBDA_GRID = [0.01 * 2**k for k in range(11)]
 
+# Probability vectors that break one rule of as_probs, with the message
+# that names it.
+BAD_PROBABILITY_VECTORS = pytest.mark.parametrize(
+    "probs,message",
+    [
+        ([-0.1, 0.6, 0.5], "finite and >= 0"),
+        ([math.nan, 0.5, 0.5], "finite and >= 0"),
+        ([0.2, 0.3, 0.3], "sum to 1"),
+        ([math.nan, 0.0, 0.5, 0.5], "finite and >= 0"),
+        ([0.0, 0.0, 0.0, math.nan], "finite and >= 0"),
+        ([0.0, 0.25, 0.25, 0.5 + 1e-10], "sum to 1"),
+    ],
+    ids=["negative", "nan", "mis-summed", "nan-first", "nan-last", "sum-off-by-1e-10"],
+)
+
 
 def exact_partial_exp_sum(d: int, lam: Fraction) -> Fraction:
     """Independent rational-arithmetic oracle for the partial sum."""
@@ -171,19 +186,33 @@ class TestDegreeLaw:
         expected = [1 / math.factorial(i) / math.e for i in range(10)]
         np.testing.assert_allclose(law.probs[:10], expected, rtol=1e-12)
 
-    @pytest.mark.parametrize(
-        "probs,message",
-        [
-            ([-0.1, 0.6, 0.5], "finite and >= 0"),
-            ([math.nan, 0.5, 0.5], "finite and >= 0"),
-            ([0.2, 0.3, 0.3], "sum to 1"),
-        ],
-        ids=["negative", "nan", "mis-summed"],
-    )
+    @BAD_PROBABILITY_VECTORS
     def test_law_validation_rejects_bad_probability_vectors(self, probs, message):
-        mu = float(np.arange(3) @ np.array(probs))
+        mu = float(np.arange(len(probs)) @ np.array(probs))
         with pytest.raises(ValueError, match=message):
-            tp.DegreeLaw(d=2, lam=1.0, mu=mu, probs=probs)
+            tp.DegreeLaw(d=len(probs) - 1, lam=1.0, mu=mu, probs=probs)
+
+    @BAD_PROBABILITY_VECTORS
+    def test_giant_rejects_bad_probability_vectors(self, probs, message):
+        calls = [
+            lambda: giant.exploration_frontier(probs, 0.0),
+            lambda: giant.frontier_root(probs),
+            lambda: giant.giant_fraction(probs, 0.5),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_as_probs_copies_a_bare_vector_and_keeps_a_laws(self):
+        law = tp.make_degree_law(3, 1.5)
+        assert tp.as_probs(law) is law.probs
+        vector = np.array([0.25, 0.5, 0.25])
+        probs = tp.as_probs(vector)
+        assert probs is not vector and vector.flags.writeable
+        np.testing.assert_array_equal(probs, vector)
+        for shapeless in ([1.0], [[0.5, 0.5]]):
+            with pytest.raises(ValueError, match="vector over degrees"):
+                tp.as_probs(shapeless)
 
     def test_law_validation_rejects_inconsistent_fields(self):
         law = tp.make_degree_law(3, 1.5)
@@ -193,20 +222,34 @@ class TestDegreeLaw:
             tp.DegreeLaw(d=2, lam=law.lam, mu=law.mu, probs=law.probs)
 
 
-    @pytest.mark.parametrize("d, lam", [(400, 2000.0), (1000, 800.0), (60, 1e300)])
+    @pytest.mark.parametrize(
+        "d, lam",
+        [
+            (400, 2000.0),
+            (1000, 800.0),
+            (60, 1e300),
+            (4, 1.35),
+            (8, 3.0),
+            (3, 0.4),
+            (20, 7.5),
+        ],
+    )
     def test_law_where_the_terms_overflow(self, d, lam):
-        # The largest term passes the float range at each rate, at the top
-        # class or (1000, 800.0) inside; the law is then built relative to
-        # it and must match the exact integer weights.
+        # One recurrence builds every law relative to its largest term, at
+        # j = min(d, floor(lam)).  The first three rates push that term past
+        # the float range, at the top class or (1000, 800.0) inside; the
+        # others are ordinary rates, peaked at 0, inside or at the top.
+        # Each law must match the exact rational weights.
         law = tp.law_from_rate(d, lam)
-        # Integer weights lam^j * d!/j!, proportional to lam^j / j!.
-        rate = int(lam)
+        # Weights lam^j * d!/j!, proportional to lam^j / j!; Fraction(lam)
+        # is the float rate exactly.
+        rate = Fraction(lam)
         falling = [1] * (d + 1)
         for j in range(d, 0, -1):
             falling[j - 1] = falling[j] * j
         weights = [rate**j * falling[j] for j in range(d + 1)]
         total = sum(weights)
-        exact = [w / total for w in weights]  # int division rounds correctly
+        exact = [float(w / total) for w in weights]  # rounds correctly
         np.testing.assert_allclose(law.probs, exact, rtol=1e-12, atol=1e-300)
 
 
@@ -243,8 +286,15 @@ class TestMolloyReedQ:
         assert abs(tp.molloy_reed_q(law)) < 1e-4
 
     def test_rejects_d_one(self):
-        with pytest.raises(ValueError):
-            tp.molloy_reed_q(tp.law_from_rate(1, 1.0))
+        for law in (tp.law_from_rate(1, 1.0), [0.5, 0.5]):
+            with pytest.raises(ValueError, match="max degree >= 2"):
+                tp.molloy_reed_q(law)
+
+    def test_bare_vector_gives_the_laws_value(self):
+        for d in range(2, 11):
+            for lam in LAMBDA_GRID:
+                law = tp.law_from_rate(d, lam)
+                assert tp.molloy_reed_q(law.probs.tolist()) == tp.molloy_reed_q(law)
 
 
 class TestLogConcavity:
