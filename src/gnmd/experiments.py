@@ -65,10 +65,15 @@ def _edge_counts(d: int, n: int, grid: Sequence[float], trials: int) -> list[int
     """Check a grid and its trial count; each point's m = ceil(mu * n / 2).
 
     Raises:
-        ValueError: If trials < 1, a mu lies outside (0, d), or 2m > d*n:
-            rounding up leaves no graph with max degree d (possible when
-            mu is within 1/n of d and d*n is odd).
+        ValueError: If the grid is empty or not strictly increasing,
+            trials < 1, a mu lies outside (0, d), or 2m > d*n: rounding up
+            leaves no graph with max degree d (possible when mu is within
+            1/n of d and d*n is odd).
     """
+    if not grid:
+        raise ValueError("mu_grid must be nonempty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("mu_grid must be strictly increasing")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     ms = []
@@ -106,10 +111,6 @@ class SweepConfig:
         if self.n < 10:
             raise ValueError(f"n must be >= 10, got {self.n}")
         grid = tuple(float(v) for v in self.mu_grid)
-        if not grid:
-            raise ValueError("mu_grid must be nonempty")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("mu_grid must be strictly increasing")
         _edge_counts(self.d, self.n, grid, self.trials)
         object.__setattr__(self, "mu_grid", grid)
 
@@ -304,9 +305,10 @@ def run_percolation_duel(
     for large d.
 
     Raises:
-        ValueError: Before any graph is sampled, if d < 3, trials < 1, a
-            mu lies outside (0, d) or has no feasible edge count, or n <= d
-            or n*d is odd (no d-regular graph exists).
+        ValueError: Before any graph is sampled, if d < 3, the grid is
+            empty or not strictly increasing, trials < 1, a mu lies outside
+            (0, d) or has no feasible edge count, or n <= d or n*d is odd
+            (no d-regular graph exists).
     """
     if d < 3:
         raise ValueError(f"duel requires d >= 3, got {d}")

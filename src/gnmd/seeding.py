@@ -14,10 +14,8 @@ import numpy as np
 __all__ = ["make_rng", "trial_rng"]
 
 
-def make_rng(seed: int | np.random.Generator) -> np.random.Generator:
-    """PCG64 generator for a master seed; passes generators through."""
-    if isinstance(seed, np.random.Generator):
-        return seed
+def make_rng(seed: int) -> np.random.Generator:
+    """PCG64 generator for an integer master seed."""
     return np.random.default_rng(int(seed))
 
 

@@ -46,34 +46,33 @@ class DegreeLaw:
     """A truncated Poisson degree distribution on {0, ..., d}.
 
     Attributes:
-        d: Maximum degree (d >= 1).
         lam: Poisson rate parameter (lam > 0).
-        mu: Mean of the law; always equals mean(d, lam) and lies in (0, d).
-        probs: Probability vector of length d + 1 with
-            probs[i] = lam^i / (i! * s_d(lam)).  All entries are finite,
-            non-negative and sum to 1.  law_from_rate gives an entry 0
-            only when its ratio to the largest term underflows, so the
-            mass a zero class drops is below 1e-300.
+        probs: Probability vector of length d + 1 >= 2 with
+            probs[i] = lam^i / (i! * s_d(lam)), checked and frozen by
+            as_probs.  All entries are finite, non-negative and sum to 1.
+            law_from_rate gives an entry 0 only when its ratio to the
+            largest term underflows, so the mass a zero class drops is
+            below 1e-300.
+        d: Maximum degree, read from probs: probs.size - 1.
+        mu: Mean of the law, read from probs: sum_i i * probs[i].  For a
+            law from law_from_rate it is mean(d, lam) and lies in (0, d).
     """
 
-    d: int
     lam: float
-    mu: float
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"max degree must be >= 1, got {self.d}")
         probs = as_probs(self.probs)  # private copy, frozen below
-        if probs.shape != (self.d + 1,):
-            raise ValueError(
-                f"probs must have length d + 1 = {self.d + 1}, got {probs.shape}"
-            )
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-        mu = float(np.arange(self.d + 1) @ probs)
-        if abs(mu - self.mu) > 1e-12:
-            raise ValueError(f"mean of probs is {mu!r}, does not match mu={self.mu!r}")
+
+    @property
+    def d(self) -> int:
+        return self.probs.size - 1
+
+    @property
+    def mu(self) -> float:
+        return float(np.arange(self.probs.size) @ self.probs)
 
     def cumulative(self) -> np.ndarray:
         """Cumulative probabilities, with the final entry pinned to 1.0."""
@@ -213,9 +212,7 @@ def law_from_rate(d: int, lam: float) -> DegreeLaw:
         terms[j] = terms[j - 1] * lam / j
     for j in range(peak, 0, -1):
         terms[j - 1] = terms[j] * j / lam
-    probs = terms / terms.sum()
-    mu = float(np.arange(d + 1) @ probs)
-    return DegreeLaw(d=d, lam=lam, mu=mu, probs=probs)
+    return DegreeLaw(lam=lam, probs=terms / terms.sum())
 
 
 def make_degree_law(d: int, mu: float) -> DegreeLaw:

@@ -122,6 +122,16 @@ class TestSampleAndComponents:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "infeasible" in payload["message"]
 
+    def test_sampling_error_is_one_json_error(self, tmp_path, capsys):
+        # 2m <= d*n, but no simple graph on 3 vertices has 4 edges: every
+        # pairing is rejected until the restart cap.
+        out = tmp_path / "g.txt"
+        assert run_cli(["sample", "--n", "3", "--m", "4", "--d", "3",
+                        "--seed", "0", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert one_json_error(captured.err)["error"] == "SamplingError"
+        assert captured.out == "" and not out.exists()
+
     def test_vertexless_graph_is_one_json_error(self, tmp_path, capsys):
         path = tmp_path / "empty.txt"
         path.write_text("0 0 2\n")
@@ -212,6 +222,18 @@ class TestDuelCommand:
         ]) == 1
         captured = capsys.readouterr()
         assert "n=2, d=4" in one_json_error(captured.err)["message"]
+        assert captured.out == "" and not out.exists()
+
+    def test_decreasing_grid_is_one_json_error(self, tmp_path, capsys):
+        # The duel checks its grid as the sweep does.
+        out = tmp_path / "duel.csv"
+        assert run_cli([
+            "duel", "--d", "4", "--mu-from", "1.5", "--mu-to", "1.0",
+            "--steps", "2", "--n", "12", "--trials", "1",
+            "--seed", "0", "--out", str(out),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "strictly increasing" in one_json_error(captured.err)["message"]
         assert captured.out == "" and not out.exists()
 
     def test_zero_trials_is_one_json_error(self, tmp_path, capsys):

@@ -201,6 +201,11 @@ class TestPercolationDuel:
             (4, [1.0, 0.0], 1, "mu"),
             (4, [4.0], 1, "mu"),
             (4, [5.0], 1, "mu"),
+            (4, [1.5, 1.0], 1, "strictly increasing"),
+            (4, [1.2, 1.2], 1, "strictly increasing"),
+            (4, [], 1, "nonempty"),
+            (4, [], 0, "nonempty"),
+            (4, [0.0, 1.0], 1, "must lie in"),
         ],
     )
     def test_bad_grid_or_trials_rejected_before_sampling(

@@ -7,6 +7,10 @@ metrics silently drop out of a traced run.  These tests fail instead.
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +22,38 @@ from gnmd.seeding import make_rng
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
-def traced_functions():
+def traced_modules():
     spec = importlib.util.spec_from_file_location("gnmd_bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return [(mod, fn) for mod, fns in tracer.TRACED.items() for fn in fns]
+    return tracer.TRACED
+
+
+def traced_functions():
+    return [(mod, fn) for mod, fns in traced_modules().items() for fn in fns]
+
+
+def test_package_binds_the_traced_modules_and_no_alias():
+    # The tracer reads gnmd.<module> on the package that the bench imports,
+    # and skips a missing module silently.  A function or class bound on the
+    # package itself would be a second name that its patches never reach.
+    code = (
+        "import inspect, json, gnmd, gnmd.experiments\n"
+        "print(json.dumps({\n"
+        "    'modules': [k for k, v in vars(gnmd).items() if inspect.ismodule(v)],\n"
+        "    'bound': [k for k, v in vars(gnmd).items()\n"
+        "              if inspect.isroutine(v) or inspect.isclass(v)],\n"
+        "}))\n"
+    )
+    src = Path(sampler.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, timeout=120,
+        capture_output=True, text=True,
+    ).stdout
+    surface = json.loads(out)
+    assert set(traced_modules()) <= set(surface["modules"])
+    assert surface["bound"] == []
 
 
 @pytest.mark.parametrize("mod, fn", traced_functions())

@@ -1,5 +1,6 @@
 """Tests for the truncated Poisson law and its special functions."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -188,9 +189,8 @@ class TestDegreeLaw:
 
     @BAD_PROBABILITY_VECTORS
     def test_law_validation_rejects_bad_probability_vectors(self, probs, message):
-        mu = float(np.arange(len(probs)) @ np.array(probs))
         with pytest.raises(ValueError, match=message):
-            tp.DegreeLaw(d=len(probs) - 1, lam=1.0, mu=mu, probs=probs)
+            tp.DegreeLaw(lam=1.0, probs=probs)
 
     @BAD_PROBABILITY_VECTORS
     def test_giant_rejects_bad_probability_vectors(self, probs, message):
@@ -214,12 +214,16 @@ class TestDegreeLaw:
             with pytest.raises(ValueError, match="vector over degrees"):
                 tp.as_probs(shapeless)
 
-    def test_law_validation_rejects_inconsistent_fields(self):
-        law = tp.make_degree_law(3, 1.5)
-        with pytest.raises(ValueError):
-            tp.DegreeLaw(d=3, lam=law.lam, mu=2.0, probs=law.probs)
-        with pytest.raises(ValueError):
-            tp.DegreeLaw(d=2, lam=law.lam, mu=law.mu, probs=law.probs)
+    def test_d_and_mu_are_read_from_probs(self):
+        assert [f.name for f in dataclasses.fields(tp.DegreeLaw)] == ["lam", "probs"]
+        for lam in LAMBDA_GRID:
+            for d in range(1, 11):
+                law = tp.law_from_rate(d, lam)
+                assert law.d == law.probs.size - 1 == d
+                assert law.mu == float(np.arange(d + 1) @ law.probs)
+        for name in ("d", "mu"):
+            with pytest.raises(AttributeError):
+                setattr(law, name, 1)
 
 
     @pytest.mark.parametrize(
