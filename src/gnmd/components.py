@@ -1,4 +1,4 @@
-"""Connected components and degree-structure measurements."""
+"""Connected components, labelled in numpy alone, and degree-structure measurements."""
 
 from __future__ import annotations
 
@@ -33,28 +33,42 @@ class ComponentReport:
     m: int
 
 
-def _sparse():
-    """scipy.sparse with its csgraph submodule, imported on first use.
+def _roots(n: int, codes: np.ndarray) -> np.ndarray:
+    """Component label of each vertex: the smallest vertex of its component.
 
-    Importing gnmd loads no scipy.  The grid driver calls this before it
-    forks its process pool, so that the workers inherit the import.
+    Min-label hooking and pointer jumping (Shiloach and Vishkin, J.
+    Algorithms 3, 1982) over the edges u*n + v with u < v.  Each round
+    hooks every root that has an edge to a smaller root under the smallest
+    such root, so parent[x] <= x always holds and no cycle forms; pointer
+    jumping then points every vertex at its root, and the edges whose two
+    roots still differ go on to the next round as (smaller, larger) root.
     """
-    import scipy.sparse.csgraph
-
-    return scipy.sparse
+    lo, hi = np.divmod(codes, n)
+    parent = np.arange(n)
+    while lo.size:
+        np.minimum.at(parent, hi, lo)
+        jumped = parent[parent]
+        moved = np.flatnonzero(jumped != parent)
+        parent = jumped
+        while moved.size:
+            up = parent[moved]
+            jumped = parent[up]
+            parent[moved] = jumped
+            moved = moved[jumped != up]
+        lo, hi = parent[lo], parent[hi]
+        cross = lo != hi
+        lo, hi = np.minimum(lo, hi)[cross], np.maximum(lo, hi)[cross]
+    return parent
 
 
 def connected_components(g: SimpleGraph) -> list[int]:
     """Component sizes of the graph, sorted descending.
 
-    Labels the components with scipy's csgraph search over the edge list
-    as a sparse adjacency matrix, then counts the labels; O(n + m).
+    Labels the vertices with _roots, a few numpy passes over the edge
+    codes (4-6 rounds on sampled graphs at n = 1e5), then counts the labels.
     """
-    sparse = _sparse()
-    ones = np.ones(g.m, dtype=np.int8)
-    adjacency = sparse.coo_matrix((ones, np.divmod(g.codes, g.n)), shape=(g.n, g.n))
-    _, labels = sparse.csgraph.connected_components(adjacency, directed=False)
-    return np.sort(np.bincount(labels))[::-1].tolist()
+    counts = np.bincount(_roots(g.n, g.codes))
+    return np.sort(counts[counts > 0])[::-1].tolist()
 
 
 def report(g: SimpleGraph) -> ComponentReport:

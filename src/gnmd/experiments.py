@@ -7,7 +7,8 @@ count only changes wall-clock time.  Worker parallelism is capped by the
 GNMD_WORKERS environment variable (default: serial).  The sweep and the
 duel share one grid check and one grid driver, which hands every (grid
 point, trial) task of the run to one process pool and slices the results
-back per grid point.  Each row class is its own CSV schema.
+back per grid point.  A trial runs on numpy alone, so nothing needs
+importing before the pool forks.  Each row class is its own CSV schema.
 """
 
 from __future__ import annotations
@@ -192,10 +193,6 @@ def _run_grid(
     if workers <= 1 or len(tasks) <= 1:
         results = [trial(task) for task in tasks]
     else:
-        # components imports scipy on first use.  Load it here, once: the
-        # pool's workers fork from this process and inherit it, where each
-        # worker of each run would otherwise import it again (~0.5 s).
-        components._sparse()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(trial, tasks))
     return [

@@ -81,8 +81,8 @@ SIMPLICITY_CAP = 1_000
 
 _HISTOGRAM_BATCH = 256
 
-#: Largest vertex count read_graph accepts: scipy's csgraph, which
-#: components uses, labels vertices with int32.
+#: Largest vertex count read_graph accepts.  A guard on memory: a header n
+#: makes gnmd components allocate several n-long arrays, whatever m is.
 MAX_VERTICES = 2**31 - 1
 
 

@@ -46,7 +46,9 @@ class DegreeLaw:
     """A truncated Poisson degree distribution on {0, ..., d}.
 
     Attributes:
-        lam: Poisson rate parameter (lam > 0).
+        lam: Poisson rate parameter, a positive finite real (checked by
+            _check_rate).  Nothing checks that probs is the law of lam;
+            law_from_rate builds a law whose probs are.
         probs: Probability vector of length d + 1 >= 2 with
             probs[i] = lam^i / (i! * s_d(lam)), checked and frozen by
             as_probs.  All entries are finite, non-negative and sum to 1.
@@ -62,6 +64,7 @@ class DegreeLaw:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "lam", _check_rate(self.lam))
         probs = as_probs(self.probs)  # private copy, frozen below
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)

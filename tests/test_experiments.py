@@ -293,37 +293,51 @@ class TestWorkerCount:
         with pytest.raises(ValueError):
             experiments.worker_count()
 
-    def test_pool_opens_with_scipy_loaded(self):
-        # Forked workers inherit the parent's modules, so the driver loads
-        # what components needs of scipy before it opens the pool.  A fresh
-        # interpreter starts without it, and a thread pool stands in for
-        # the process pool: its workers load any module they still lack
-        # into this process, where the check below finds it.
+    def test_sweep_duel_and_components_run_without_scipy(self, tmp_path):
+        # Components are labelled in numpy, so nothing but the oracle's
+        # chi-square quantile needs scipy.  A fresh interpreter makes every
+        # scipy import fail; the sweep's forked workers inherit the blocker,
+        # and the CLI runs in the same interpreter through runpy.
         code = textwrap.dedent(
             """
-            import sys
-            from concurrent.futures import ThreadPoolExecutor
-            from gnmd import experiments
+            import contextlib, io, json, runpy, sys
 
-            opened = []
+            class BlockScipy:
+                def find_spec(self, name, path=None, target=None):
+                    if name.split(".")[0] == "scipy":
+                        raise ImportError(f"blocked import of {name}")
+                    return None
 
-            class Pool(ThreadPoolExecutor):
-                def __init__(self, max_workers):
-                    opened.append(set(sys.modules))
-                    super().__init__(max_workers)
+            sys.meta_path.insert(0, BlockScipy())
 
-            def scipy_modules(names):
-                return {m for m in names if m.split(".")[0] == "scipy"}
+            from gnmd import components, experiments, sampler
+            from gnmd.seeding import make_rng
 
-            experiments.ProcessPoolExecutor = Pool
-            assert not scipy_modules(sys.modules)
-            experiments.run_sweep(experiments.SweepConfig(4, (1.0, 1.5), 20, 2, 5))
-            (loaded,) = opened
-            assert "scipy.sparse.csgraph" in loaded
-            late = scipy_modules(sys.modules) - loaded
-            assert not late, sorted(late)
+            rows = experiments.run_sweep(experiments.SweepConfig(4, (1.0, 1.5), 200, 2, 5))
+            assert [row.trials for row in rows] == [2, 2]
+            rows = experiments.run_percolation_duel(4, [1.2, 2.0], 200, 2, 7)
+            assert len(rows) == 2
+            g = sampler.sample_graph(300, 200, 4, make_rng(1))
+            rep = components.report(g)
+            path = sys.argv[1]
+            sampler.write_graph(path, g)
+            sys.argv = ["gnmd", "components", "--in", path, "--json"]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                try:
+                    runpy.run_module("gnmd.cli", run_name="__main__", alter_sys=True)
+                except SystemExit as exit:
+                    assert exit.code == 0, exit.code
+            assert json.loads(out.getvalue())["sizes"] == list(rep.sizes)
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            assert not loaded, loaded
             """
         )
         src = Path(experiments.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src), "GNMD_WORKERS": "2"}
-        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+        subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "g.txt")],
+            env=env,
+            check=True,
+            timeout=120,
+        )

@@ -192,6 +192,17 @@ class TestDegreeLaw:
         with pytest.raises(ValueError, match=message):
             tp.DegreeLaw(lam=1.0, probs=probs)
 
+    @pytest.mark.parametrize("lam", [-3.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+    def test_law_validation_rejects_bad_rates(self, lam):
+        with pytest.raises(ValueError, match="rate must be a positive finite real"):
+            tp.DegreeLaw(lam=lam, probs=[0.5, 0.5])
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 60, 400])
+    def test_every_rate_builds_a_law(self, d):
+        for lam in [5e-324, 1e-300, *LAMBDA_GRID, 1e300, 1.7976931348623157e308]:
+            law = tp.law_from_rate(d, lam)
+            assert law.lam == lam and law.d == d
+
     @BAD_PROBABILITY_VECTORS
     def test_giant_rejects_bad_probability_vectors(self, probs, message):
         calls = [
