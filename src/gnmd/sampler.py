@@ -184,14 +184,19 @@ def _check_instance(n: int, m: int, d: int) -> None:
 def _degree_law(n: int, m: int, d: int) -> truncpoisson.DegreeLaw | None:
     """The instance's mean-matched degree law, after checking the instance.
 
-    Returns None when 2m = dn: the constraint pins every degree to d, and
-    no mean-matched rate exists (d is not an attainable truncated Poisson
+    The law is truncated at cap = min(d, 2m).  No entry of a vector summing
+    to 2m exceeds 2m, so on the conditioning event {x_i <= d} and
+    {x_i <= cap} are the same set: the conditional law is unchanged, and
+    building it costs O(cap) however large d is.  Returns None when
+    2m = cap * n: the constraint pins every degree to cap, and no
+    mean-matched rate exists (cap is not an attainable truncated Poisson
     mean).
     """
     _check_instance(n, m, d)
-    if 2 * m == d * n:
+    cap = min(d, 2 * m)
+    if 2 * m == cap * n:
         return None
-    return truncpoisson.make_degree_law(d, 2 * m / n)
+    return truncpoisson.make_degree_law(cap, 2 * m / n)
 
 
 def _conditioned_histogram(
@@ -277,8 +282,8 @@ def sample_degree_sequence(
     Each returned row is distributed as n i.i.d. draws from `law`
     conditioned on summing to 2m, equivalently as the box occupancies of
     2m balls dropped into n boxes of capacity d: P(x) is proportional to
-    1/prod(x_i!).  `law` is the instance's mean-matched law, or None when
-    2m = dn, where every degree is d.
+    1/prod(x_i!).  `law` is the instance's mean-matched law, truncated at
+    min(d, 2m), or None when that truncation pins every degree to 2m/n.
 
     Returns:
         A (k, n) int64 array.  With rows == 1 the vector is conditioned
@@ -291,7 +296,7 @@ def sample_degree_sequence(
             (about 10^4 sqrt(n) draws, versus an expected O(sqrt(n))).
     """
     if law is None:
-        return np.full((rows, n), d, dtype=np.int64)
+        return np.full((rows, n), 2 * m // n, dtype=np.int64)
     # The crossover, measured per kept vector with numpy 2.4.6 on a 2-vCPU
     # host: for one vector the histogram wins at every n tried (76 us
     # against 113 us at (n, m, d) = (6, 5, 3), 2.3 ms against 167 ms at
@@ -299,7 +304,7 @@ def sample_degree_sequence(
     # vectors/s at (6, 5, 3), 110k against 65k at (60, 36, 4)).
     if rows == 1:
         histogram = _conditioned_histogram(n, 2 * m, law.probs, rng, stats)
-        return rng.permutation(np.repeat(np.arange(d + 1), histogram))[None]
+        return rng.permutation(np.repeat(np.arange(law.d + 1), histogram))[None]
     return _conditioned_degree_rows(n, 2 * m, law.cumulative(), rows, rng)
 
 

@@ -2,12 +2,8 @@
 
 import itertools
 import math
-import os
 from collections import Counter
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,24 +207,20 @@ class TestUniformityTest:
         with pytest.raises(ValueError):
             oracle.uniformity_test(ens, 1_000, seed=0)
 
-    @pytest.mark.parametrize("dof", [1, 2, 10, 2696, 100_000])
+    @pytest.mark.parametrize("dof", [1, 2, 3, 10, 69, 2696, 100_000, 1_000_000])
     def test_quantile_is_the_chi_square_quantile(self, dof):
-        from scipy import stats
+        # scipy's chdtri is the reference; uniformity_test itself loads no scipy.
+        for tail in (1e-3, 1e-9, 0.05):
+            assert oracle._chi_square_quantile(dof, tail) == pytest.approx(
+                chdtri(dof, tail), rel=1e-10
+            ), tail
 
-        assert chdtri(dof, 0.001) == pytest.approx(stats.chi2.ppf(0.999, dof), rel=1e-14)
-
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy costs most of the package's import time and memory, and only
-        # components and uniformity_test use it: neither the package, nor
-        # the experiments, nor the CLI loads any scipy module on import.
-        src = Path(oracle.__file__).resolve().parents[1]
-        code = (
-            "import sys, gnmd, gnmd.experiments, gnmd.cli; "
-            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
-            "assert not loaded, loaded"
+    @pytest.mark.parametrize("tail", [1e-9, 1e-3, 0.05, 0.5])
+    def test_two_dof_quantile_is_closed_form(self, tail):
+        # chi-square(2) is exponential with mean 2: P(X > x) = exp(-x/2).
+        assert oracle._chi_square_quantile(2, tail) == pytest.approx(
+            -2 * math.log(tail), rel=1e-10
         )
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
     def test_requires_enough_trials(self):
         ens = oracle.enumerate_graphs(5, 4, 2)

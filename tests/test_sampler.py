@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -292,6 +293,16 @@ class TestSampleGraph:
         # At mean degree 2e-5 every class above 53 has lam^j / j! = 0.
         g = sampler.sample_graph(10**5, 1, 60, make_rng(11))
         assert g.m == 1 and g.edges[0, 0] < g.edges[0, 1]
+
+    def test_degree_bound_far_above_2m(self):
+        # No degree can exceed 2m, so the law stops at min(d, 2m) classes:
+        # a law of 10^9 + 1 classes would not fit in memory.
+        start = time.perf_counter()
+        g = sampler.sample_graph(3, 1, 10**9, make_rng(5))
+        assert time.perf_counter() - start < 1.0
+        assert g.m == 1 and g.d == 10**9 and g.edges[0, 0] < g.edges[0, 1]
+        rep = oracle.uniformity_test(oracle.enumerate_graphs(4, 3, 10**9), 40_000, seed=5)
+        assert rep.never_sampled == 0 and rep.chi_square_ok
 
     def test_empty_ensemble_trips_retry_cap(self):
         # n=1, m=1, d=2 forces a loop every time; no simple graph exists.
