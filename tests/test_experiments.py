@@ -293,62 +293,62 @@ class TestWorkerCount:
         with pytest.raises(ValueError):
             experiments.worker_count()
 
+    def test_sweep_duel_and_components_run_without_scipy(self, tmp_path):
+        # Components are labelled in numpy and the oracle computes its own
+        # chi-square quantile, so no path of gnmd needs scipy: the sweep, the
+        # duel, components, uniformity_test and the CLI all run with it blocked.
+        # A fresh interpreter makes every scipy import fail; the sweep's forked
+        # workers inherit the blocker, and the CLI runs in the same interpreter
+        # through runpy.
+        code = textwrap.dedent(
+            """
+            import contextlib, io, json, runpy, sys
 
-def test_gnmd_runs_without_scipy(tmp_path):
-    # Components are labelled in numpy and the oracle computes its own
-    # chi-square quantile, so no path of gnmd needs scipy.  A fresh
-    # interpreter makes every scipy import fail; the sweep's forked workers
-    # inherit the blocker, and the CLI runs in the same interpreter through
-    # runpy.
-    code = textwrap.dedent(
-        """
-        import contextlib, io, json, runpy, sys
+            class BlockScipy:
+                def find_spec(self, name, path=None, target=None):
+                    if name.split(".")[0] == "scipy":
+                        raise ImportError(f"blocked import of {name}")
+                    return None
 
-        class BlockScipy:
-            def find_spec(self, name, path=None, target=None):
-                if name.split(".")[0] == "scipy":
-                    raise ImportError(f"blocked import of {name}")
-                return None
+            sys.meta_path.insert(0, BlockScipy())
 
-        sys.meta_path.insert(0, BlockScipy())
+            import gnmd
+            from gnmd import components, experiments, oracle, sampler
+            from gnmd.seeding import make_rng
 
-        import gnmd
-        from gnmd import components, experiments, oracle, sampler
-        from gnmd.seeding import make_rng
+            def cli(*argv):
+                sys.argv = ["gnmd", *argv]
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    try:
+                        runpy.run_module("gnmd.cli", run_name="__main__", alter_sys=True)
+                    except SystemExit as exit:
+                        assert exit.code == 0, exit.code
+                return out.getvalue()
 
-        def cli(*argv):
-            sys.argv = ["gnmd", *argv]
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                try:
-                    runpy.run_module("gnmd.cli", run_name="__main__", alter_sys=True)
-                except SystemExit as exit:
-                    assert exit.code == 0, exit.code
-            return out.getvalue()
-
-        rows = experiments.run_sweep(experiments.SweepConfig(4, (1.0, 1.5), 200, 2, 5))
-        assert [row.trials for row in rows] == [2, 2]
-        rows = experiments.run_percolation_duel(4, [1.2, 2.0], 200, 2, 7)
-        assert len(rows) == 2
-        g = sampler.sample_graph(300, 200, 4, make_rng(1))
-        rep = components.report(g)
-        path = sys.argv[1]
-        sampler.write_graph(path, g)
-        out = cli("components", "--in", path, "--json")
-        assert json.loads(out)["sizes"] == list(rep.sizes)
-        ens = oracle.enumerate_graphs(5, 4, 2)
-        assert oracle.uniformity_test(ens, 100 * ens.count, 3).dof == ens.count - 1
-        out = cli("oracle", "--n", "5", "--m", "4", "--d", "2", "--trials", "20000")
-        assert " OK" in out, out
-        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-        assert not loaded, loaded
-        """
-    )
-    src = Path(experiments.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src), "GNMD_WORKERS": "2"}
-    subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "g.txt")],
-        env=env,
-        check=True,
-        timeout=120,
-    )
+            rows = experiments.run_sweep(experiments.SweepConfig(4, (1.0, 1.5), 200, 2, 5))
+            assert [row.trials for row in rows] == [2, 2]
+            rows = experiments.run_percolation_duel(4, [1.2, 2.0], 200, 2, 7)
+            assert len(rows) == 2
+            g = sampler.sample_graph(300, 200, 4, make_rng(1))
+            rep = components.report(g)
+            path = sys.argv[1]
+            sampler.write_graph(path, g)
+            out = cli("components", "--in", path, "--json")
+            assert json.loads(out)["sizes"] == list(rep.sizes)
+            ens = oracle.enumerate_graphs(5, 4, 2)
+            assert oracle.uniformity_test(ens, 100 * ens.count, 3).dof == ens.count - 1
+            out = cli("oracle", "--n", "5", "--m", "4", "--d", "2", "--trials", "20000")
+            assert " OK" in out, out
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            assert not loaded, loaded
+            """
+        )
+        src = Path(experiments.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "GNMD_WORKERS": "2"}
+        subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "g.txt")],
+            env=env,
+            check=True,
+            timeout=120,
+        )

@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 import time
 
 import numpy as np
@@ -221,6 +225,19 @@ class TestUniformityTest:
         assert oracle._chi_square_quantile(2, tail) == pytest.approx(
             -2 * math.log(tail), rel=1e-10
         )
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy would cost most of the package's import time and memory, and
+        # no module of gnmd uses it: neither the package, nor the oracle, nor
+        # the experiments, nor the CLI loads any scipy module on import.
+        src = Path(oracle.__file__).resolve().parents[1]
+        code = (
+            "import sys, gnmd, gnmd.oracle, gnmd.experiments, gnmd.cli; "
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+            "assert not loaded, loaded"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
     def test_requires_enough_trials(self):
         ens = oracle.enumerate_graphs(5, 4, 2)
