@@ -276,6 +276,7 @@ def _duel_trial(task: tuple[int, int, int, float, int, int]) -> tuple | None:
     try:
         g = sampler.sample_graph(n, m, d, rng)
         bounded = components.report(g).largest_fraction
+        del g  # released before the regular graph is drawn
         perc = components.report(
             sample_percolated_regular(n, d, mu / d, rng)
         ).largest_fraction
@@ -360,17 +361,21 @@ def conditioning_acceptance_rate(
     """Empirical probability that n i.i.d. degrees sum to exactly 2m.
 
     Runs the sampler's own conditioning loop, sample_degree_sequence with
-    one row and the mean-matched law, until it has counted at least
-    `draws` degree histograms, and returns the sequences it kept per
-    histogram counted.  This is the conditioning acceptance rate of the
-    degree sequence sampler; theory puts it at order 1/sqrt(n).
+    one row and the sampler's law for the instance, until it has counted
+    at least `draws` degree histograms, and returns the sequences it kept
+    per histogram counted.  This is the conditioning acceptance rate of the
+    degree sequence sampler; theory puts it at order 1/sqrt(n).  A regular
+    instance (every degree pinned to 2m/n) draws no histogram: its rate is
+    1.0.
     """
-    law = truncpoisson.make_degree_law(d, 2 * m / n)
+    law = sampler._degree_law(n, m, d)
+    if law is None:
+        return 1.0
     rng = trial_rng(seed, 0)
     stats = sampler.SamplerStats()
     sequences = 0
     while stats.histogram_draws < draws:
-        sampler.sample_degree_sequence(n, m, d, law, 1, rng, stats)
+        sampler.sample_degree_sequence(n, m, law, 1, rng, stats)
         sequences += 1
     return sequences / stats.histogram_draws
 

@@ -116,6 +116,14 @@ class TestSampleAndComponents:
         assert sum(payload["sizes"]) == 60
         assert sum(i * c for i, c in enumerate(payload["degree_counts"])) == 90
 
+    def test_components_histogram_stops_at_n_minus_one(self, tmp_path, capsys):
+        # A header bound past n - 1 once sized the degree histogram: this
+        # file printed ten million counts.
+        path = tmp_path / "wide.txt"
+        path.write_text("3 0 10000000\n")
+        assert run_cli(["components", "--in", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["degree_counts"] == [3, 0, 0]
+
     def test_infeasible_sample_fails_cleanly(self, tmp_path, capsys):
         assert run_cli(["sample", "--n", "4", "--m", "10", "--d", "2",
                         "--seed", "0", "--out", str(tmp_path / "x.txt")]) == 1

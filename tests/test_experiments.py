@@ -274,6 +274,20 @@ class TestAcceptanceProbes:
         rate = experiments.conditioning_acceptance_rate(n, m, d, 200_000, seed=7)
         assert rate == pytest.approx(exact, abs=4 * math.sqrt(exact / 200_000))
 
+    def test_conditioning_rate_of_a_regular_instance_is_one(self):
+        # Every degree is pinned to 3: no histogram is drawn, none rejected.
+        assert experiments.conditioning_acceptance_rate(10, 15, 3, 100, 1) == 1.0
+
+    def test_conditioning_rate_uses_the_sampler_law_truncated_at_2m(self):
+        # With d = 1e6 the law stops at 2m = 2, as the sampler's does; an
+        # untruncated law over a million degrees took 24 s and 563 MB.
+        from gnmd import oracle
+
+        n, m, d = 3, 1, 10**6
+        exact = oracle.sum_pmf(n, 2, tp.invert_mean(2, 2 * m / n))[2 * m]
+        rate = experiments.conditioning_acceptance_rate(n, m, d, 50_000, seed=3)
+        assert rate == pytest.approx(exact, abs=4 * math.sqrt(exact / 50_000))
+
     def test_simplicity_rate_reasonable(self):
         rate, alpha, pairings = experiments.simplicity_acceptance_rate(
             500, 300, 4, min_pairings=200, seed=11

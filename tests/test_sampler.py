@@ -17,7 +17,7 @@ from gnmd.seeding import make_rng, trial_rng
 def one_sequence(n, m, d, rng, stats=None):
     """One degree vector from the kernel's one-attempt (histogram) route."""
     law = sampler._degree_law(n, m, d)
-    return sampler.sample_degree_sequence(n, m, d, law, 1, rng, stats)[0]
+    return sampler.sample_degree_sequence(n, m, law, 1, rng, stats)[0]
 
 
 class TestSampleDegreeSequence:
@@ -76,7 +76,7 @@ class TestSampleDegreeSequence:
         trials = 40_000
         law = sampler._degree_law(3, 2, 2)
         counts = Counter(
-            tuple(sampler.sample_degree_sequence(3, 2, 2, law, 1, rng)[0])
+            tuple(sampler.sample_degree_sequence(3, 2, law, 1, rng)[0])
             for _ in range(trials)
         )
         assert set(counts) <= set(exact)
@@ -268,7 +268,7 @@ class TestSampleGraph:
         law = sampler._degree_law(n, m, d)
         checked = 0
         while checked < 20:
-            degrees = sampler.sample_degree_sequence(n, m, d, law, 1, rng)
+            degrees = sampler.sample_degree_sequence(n, m, law, 1, rng)
             tokens = sampler.pair_configuration(degrees, m, rng)
             codes, simple = sampler.is_simple(tokens, n)
             if not simple[0]:
@@ -450,6 +450,14 @@ class TestGraphFileFormat:
         path.write_text("3 0 2\n\n")
         g = sampler.read_graph(path)
         assert (g.n, g.m, g.d) == (3, 0, 2) and g.edges.shape == (0, 2)
+
+    def test_read_caps_the_degree_bound_at_n_minus_one(self, tmp_path):
+        path = tmp_path / "wide.txt"
+        path.write_text("3 1 10000000\n0 1\n")
+        g = sampler.read_graph(path)
+        assert (g.n, g.m, g.d) == (3, 1, 2)
+        path.write_text("3 1 1\n0 1\n")
+        assert sampler.read_graph(path).d == 1
 
     @pytest.mark.parametrize("n", [2**31, 10**13])
     def test_read_rejects_a_vertex_count_past_the_index_limit(self, tmp_path, n):
