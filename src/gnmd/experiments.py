@@ -7,15 +7,17 @@ count only changes wall-clock time.  Worker parallelism is capped by the
 GNMD_WORKERS environment variable (default: serial).  The sweep and the
 duel share one grid check and one grid driver, which hands every (grid
 point, trial) task of the run to one process pool and slices the results
-back per grid point.  A trial runs on numpy alone, so nothing needs
-importing before the pool forks.  Each row class is its own CSV schema.
+back per grid point.  A pooled run imports the pool machinery
+(concurrent.futures, multiprocessing) when it opens the pool, so importing
+this module and every serial run load none of it.  A trial runs on numpy
+alone, so nothing else needs importing before the pool forks.  Each row
+class is its own CSV schema.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -181,8 +183,11 @@ def _run_grid(
 
     Trial t of point k gets the task (d, n, m, mu, master_seed, k*trials + t)
     and returns its values, or None when sampling failed.  The tasks run in
-    order, on one process pool when worker_count() > 1.  A point keeps the
-    values of its successful trials, in order.
+    order, or on one process pool when worker_count() > 1, which gets them
+    longest first (descending m, then task index) so that no long task
+    starts last; a task's stream is keyed by its index, so the order does
+    not change its values.  A point keeps the values of its successful
+    trials, in order.
     """
     tasks = [
         (d, n, m, mu, master_seed, k * trials + t)
@@ -193,8 +198,15 @@ def _run_grid(
     if workers <= 1 or len(tasks) <= 1:
         results = [trial(task) for task in tasks]
     else:
+        # Imported here, in the parent just before the pool forks, so that
+        # serial runs and a bare import load no pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
+        order = sorted(range(len(tasks)), key=lambda i: -tasks[i][2])
+        results = [None] * len(tasks)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(trial, tasks))
+            for i, values in zip(order, pool.map(trial, [tasks[i] for i in order])):
+                results[i] = values
     return [
         [values for values in results[k * trials : (k + 1) * trials] if values is not None]
         for k in range(len(ms))

@@ -327,7 +327,8 @@ def is_simple(tokens: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     Returns the edge codes u*n + v (u < v) of the simple rows, each row
     sorted ascending, in row order, and the boolean mask of the simple
     rows: those without a loop and without a repeated pair.  Any defect
-    discards the whole attempt, so only loop-free rows are sorted.
+    discards the whole attempt, so only loop-free rows are sorted, and
+    when no row is loop-free no code is built at all.
 
     Memory: beyond its (k, 2m) int64 input, one (k, m) int64 array of
     codes, min(u, v)*(n - 1) + u + v = min*n + max built in place, and one
@@ -338,6 +339,8 @@ def is_simple(tokens: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     u, v = tokens[:, 0::2], tokens[:, 1::2]
     simple = ~np.any(u == v, axis=1)
+    if not simple.any():
+        return np.empty((0, u.shape[1]), dtype=np.int64), simple
     codes = np.minimum(u, v)
     codes *= n - 1
     codes += u

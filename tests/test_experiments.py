@@ -307,6 +307,31 @@ class TestWorkerCount:
         with pytest.raises(ValueError):
             experiments.worker_count()
 
+    def test_import_and_serial_runs_load_no_pool_machinery(self):
+        # Only a pooled run imports concurrent.futures, and multiprocessing
+        # through it; the pooled sweep is covered by the scipy test below.
+        code = textwrap.dedent(
+            """
+            import sys
+
+            import gnmd, gnmd.cli, gnmd.experiments
+            from gnmd import experiments, oracle
+
+            rows = experiments.run_percolation_duel(4, [1.2, 2.0], 200, 2, 7)
+            assert len(rows) == 2
+            ens = oracle.enumerate_graphs(5, 4, 2)
+            assert oracle.uniformity_test(ens, 100 * ens.count, 3).dof == ens.count - 1
+            loaded = sorted(
+                m for m in sys.modules
+                if m.split(".")[0] in ("concurrent", "multiprocessing")
+            )
+            assert not loaded, loaded
+            """
+        )
+        src = Path(experiments.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "GNMD_WORKERS": "1"}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
     def test_sweep_duel_and_components_run_without_scipy(self, tmp_path):
         # Components are labelled in numpy and the oracle computes its own
         # chi-square quantile, so no path of gnmd needs scipy: the sweep, the

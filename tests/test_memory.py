@@ -42,6 +42,16 @@ def test_is_simple_holds_one_code_array_beyond_its_input(pairing):
     assert peak_bytes(lambda: sampler.is_simple(pairing, N)) <= 1.25 * 8 * M
 
 
+def test_is_simple_builds_no_codes_when_every_row_has_a_loop(pairing):
+    tokens = np.repeat(pairing, 2, axis=0)
+    tokens[:, 1] = tokens[:, 0]
+    codes, simple = sampler.is_simple(tokens, N)
+    assert simple.tolist() == [False, False]
+    assert codes.shape == (0, M) and codes.dtype == np.int64
+    # The loop test's boolean (k, m) mask, and no 8km-byte code array.
+    assert peak_bytes(lambda: sampler.is_simple(tokens, N)) <= 1.25 * 2 * M
+
+
 def test_report_stays_under_its_bound(pairing):
     codes, _ = sampler.is_simple(pairing, N)
     g = sampler.SimpleGraph._trusted(N, 4, codes[0])
