@@ -380,6 +380,8 @@ def conditioning_acceptance_rate(
     instance (every degree pinned to 2m/n) draws no histogram: its rate is
     1.0.
     """
+    if draws < 1:
+        raise ValueError(f"need draws >= 1, got {draws}")
     law = sampler._degree_law(n, m, d)
     if law is None:
         return 1.0
@@ -402,6 +404,8 @@ def simplicity_acceptance_rate(
     mean per-attempt alpha diagnostic, attempts).  The rate should be
     essentially independent of n for fixed d and mean degree.
     """
+    if min_pairings < 1:
+        raise ValueError(f"need min_pairings >= 1, got {min_pairings}")
     stats = sampler.SamplerStats()
     t = 0
     while stats.pairings < min_pairings:

@@ -34,7 +34,6 @@ __all__ = [
     "conditional_marginal",
 ]
 
-ENUMERATION_GUARD = 10**8
 MAX_ENUM_VERTICES = 8
 
 #: Draws that uniformity_test asks the sampler for at a time.  Each block
@@ -76,19 +75,13 @@ def enumerate_graphs(n: int, m: int, d: int) -> EnumeratedEnsemble:
     keeps the subsets whose maximum degree stays within d.
 
     Raises:
-        ValueError: If n exceeds 8 or the number of m-subsets exceeds the
-            10^8 enumeration guard.
+        ValueError: If n is outside [1, 8] or m outside [0, n(n-1)/2].
     """
     if n < 1 or n > MAX_ENUM_VERTICES:
         raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM_VERTICES}, got {n}")
     pair_count = math.comb(n, 2)
     if m < 0 or m > pair_count:
         raise ValueError(f"m must lie in [0, {pair_count}], got {m}")
-    subsets = math.comb(pair_count, m)
-    if subsets > ENUMERATION_GUARD:
-        raise ValueError(
-            f"refusing to enumerate {subsets} edge subsets (> {ENUMERATION_GUARD})"
-        )
     kept = []
     for subset in combinations(combinations(range(n), 2), m):
         degree = [0] * n
@@ -388,7 +381,7 @@ def sum_pmf(n: int, d: int, lam: float) -> np.ndarray:
         raise ValueError(f"need n >= 0 variables, got {n}")
     if n == 0:
         return np.ones(1)
-    base = truncpoisson.law_from_rate(d, lam).probs.copy()
+    base = truncpoisson.DegreeLaw(d, lam).probs
     result: np.ndarray | None = None
     e = n
     while True:
@@ -412,7 +405,7 @@ def conditional_marginal(n: int, target_sum: int, d: int, lam: float) -> np.ndar
         raise ValueError(f"need n >= 1 variables, got {n}")
     if not (0 <= target_sum <= n * d):
         raise ValueError(f"target sum must lie in [0, {n * d}], got {target_sum}")
-    probs = truncpoisson.law_from_rate(d, lam).probs
+    probs = truncpoisson.DegreeLaw(d, lam).probs
     rest = sum_pmf(n - 1, d, lam)
     weights = np.zeros(d + 1)
     for k in range(d + 1):

@@ -14,14 +14,16 @@ which is exactly the expectation of the d-truncated Poisson law and is
 strictly increasing in lam, mapping (0, inf) onto (0, d).  That bijection
 is what lets us parameterize degree laws by their mean instead of by the
 rate, and it defines the critical mean degree separating the phase with
-all components small from the phase with a giant component.  molloy_reed_q
-and giant's functions also take a bare probability vector, checked by as_probs.
+all components small from the phase with a giant component.  A DegreeLaw
+is its (d, lam); molloy_reed_q and giant's functions also take a bare
+probability vector, checked by as_probs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +34,6 @@ __all__ = [
     "partial_exp_sum",
     "mean",
     "invert_mean",
-    "law_from_rate",
     "make_degree_law",
     "variance",
     "molloy_reed_q",
@@ -43,35 +44,45 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DegreeLaw:
-    """A truncated Poisson degree distribution on {0, ..., d}.
+    """The truncated Poisson degree distribution on {0, ..., d} of rate lam.
+
+    Equality and hashing use (d, lam); probs is built from them.
 
     Attributes:
+        d: Maximum degree, d >= 1.
         lam: Poisson rate parameter, a positive finite real (checked by
-            _check_rate).  Nothing checks that probs is the law of lam;
-            law_from_rate builds a law whose probs are.
-        probs: Probability vector of length d + 1 >= 2 with
-            probs[i] = lam^i / (i! * s_d(lam)), checked and frozen by
-            as_probs.  All entries are finite, non-negative and sum to 1.
-            law_from_rate gives an entry 0 only when its ratio to the
-            largest term underflows, so the mass a zero class drops is
-            below 1e-300.
-        d: Maximum degree, read from probs: probs.size - 1.
-        mu: Mean of the law, read from probs: sum_i i * probs[i].  For a
-            law from law_from_rate it is mean(d, lam) and lies in (0, d).
+            _check_rate).
+        probs: Read-only probability vector of length d + 1 with
+            probs[i] = lam^i / (i! * s_d(lam)).  An entry is 0 only when
+            its ratio to the largest term underflows, so the mass a zero
+            class drops is below 1e-300.
+        mu: Mean of the law, read from probs: sum_i i * probs[i], which is
+            mean(d, lam) and lies in (0, d).
     """
 
+    d: int
     lam: float
-    probs: np.ndarray
+    probs: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", _check_rate(self.lam))
-        probs = as_probs(self.probs)  # private copy, frozen below
+        lam = _check_rate(self.lam)
+        d = operator.index(self.d)
+        if d < 1:
+            raise ValueError(f"max degree must be >= 1, got {d}")
+        # Scale every class by the largest one, at j = min(d, floor(lam)), so
+        # that no term exceeds 1 and none overflows, however large lam is.
+        terms = np.empty(d + 1)
+        peak = min(d, int(lam))
+        terms[peak] = 1.0
+        for j in range(peak + 1, d + 1):
+            terms[j] = terms[j - 1] * lam / j
+        for j in range(peak, 0, -1):
+            terms[j - 1] = terms[j] * j / lam
+        probs = terms / terms.sum()
         probs.setflags(write=False)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "probs", probs)
-
-    @property
-    def d(self) -> int:
-        return self.probs.size - 1
 
     @property
     def mu(self) -> float:
@@ -141,7 +152,7 @@ def mean(k: int, lam: float) -> float:
     """Mean of the k-truncated Poisson law: lam * s_{k-1}(lam) / s_k(lam).
 
     Strictly increasing in lam and strictly inside (0, k).  Where the
-    partial sums overflow, the mean is taken from law_from_rate instead.
+    partial sums overflow, the mean is taken from DegreeLaw(k, lam) instead.
 
     Raises:
         ValueError: If k < 1 or lam <= 0.
@@ -155,7 +166,7 @@ def mean(k: int, lam: float) -> float:
     # The partial sums overflowed, which leaves 0, inf or nan: take the
     # mean of the law instead, whose classes are then scaled by the
     # largest one.
-    return law_from_rate(k, lam).mu
+    return DegreeLaw(k, lam).mu
 
 
 def invert_mean(k: int, target: float) -> float:
@@ -198,26 +209,6 @@ def invert_mean(k: int, target: float) -> float:
     return mid if mid > 0.0 else hi
 
 
-def law_from_rate(d: int, lam: float) -> DegreeLaw:
-    """Build the d-truncated Poisson law directly from its rate.
-
-    Accepts d >= 1; use make_degree_law to parameterize by the mean.
-    """
-    lam = _check_rate(lam)
-    if d < 1:
-        raise ValueError(f"max degree must be >= 1, got {d}")
-    # Scale every class by the largest one, at j = min(d, floor(lam)), so
-    # that no term exceeds 1 and none overflows, however large lam is.
-    terms = np.empty(d + 1)
-    peak = min(d, int(lam))
-    terms[peak] = 1.0
-    for j in range(peak + 1, d + 1):
-        terms[j] = terms[j - 1] * lam / j
-    for j in range(peak, 0, -1):
-        terms[j - 1] = terms[j] * j / lam
-    return DegreeLaw(lam=lam, probs=terms / terms.sum())
-
-
 def make_degree_law(d: int, mu: float) -> DegreeLaw:
     """Degree law with maximum degree d and mean degree mu.
 
@@ -233,7 +224,7 @@ def make_degree_law(d: int, mu: float) -> DegreeLaw:
         ValueError: If d < 1 or mu is outside (0, d) (such an instance is
             degenerate or infeasible as a degree distribution).
     """
-    return law_from_rate(d, invert_mean(d, mu))
+    return DegreeLaw(d, invert_mean(d, mu))
 
 
 def variance(law: DegreeLaw) -> float:

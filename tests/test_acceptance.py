@@ -80,7 +80,7 @@ def test_criterion_03_analytic_identities():
     issues = []
     for d in range(2, 11):
         for lam in LAMBDA_GRID:
-            law = tp.law_from_rate(d, lam)
+            law = tp.DegreeLaw(d, lam)
             q = tp.molloy_reed_q(law)
             q_closed = tp.molloy_reed_q_closed_form(law)
             if abs(q - q_closed) > 1e-12 * max(1.0, abs(q)):

@@ -288,6 +288,16 @@ class TestAcceptanceProbes:
         rate = experiments.conditioning_acceptance_rate(n, m, d, 50_000, seed=3)
         assert rate == pytest.approx(exact, abs=4 * math.sqrt(exact / 50_000))
 
+    def test_conditioning_rate_rejects_an_empty_budget(self):
+        for draws in (0, -1):
+            with pytest.raises(ValueError, match="draws >= 1"):
+                experiments.conditioning_acceptance_rate(30, 20, 3, draws, 1)
+
+    def test_simplicity_rate_rejects_an_empty_budget(self):
+        for min_pairings in (0, -1):
+            with pytest.raises(ValueError, match="min_pairings >= 1"):
+                experiments.simplicity_acceptance_rate(50, 30, 3, min_pairings, 1)
+
     def test_simplicity_rate_reasonable(self):
         rate, alpha, pairings = experiments.simplicity_acceptance_rate(
             500, 300, 4, min_pairings=200, seed=11

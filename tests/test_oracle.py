@@ -126,7 +126,7 @@ class TestStratifiedRecount:
 
 class TestSumPmf:
     def test_single_variable_is_the_pmf(self):
-        law = tp.law_from_rate(3, 1.2)
+        law = tp.DegreeLaw(3, 1.2)
         np.testing.assert_allclose(oracle.sum_pmf(1, 3, 1.2), law.probs)
 
     def test_two_bernoulli_case(self):
@@ -142,7 +142,7 @@ class TestSumPmf:
 
     def test_against_brute_force_enumeration(self):
         # Exhaustive oracle over all 3^4 outcomes.
-        law = tp.law_from_rate(2, 0.7)
+        law = tp.DegreeLaw(2, 0.7)
         brute = np.zeros(9)
         for combo in itertools.product(range(3), repeat=4):
             brute[sum(combo)] += math.prod(law.probs[k] for k in combo)
@@ -153,7 +153,7 @@ class TestSumPmf:
         # errors per cell.
         n, d = 20, 3
         lam = tp.invert_mean(d, 1.2)
-        law = tp.law_from_rate(d, lam)
+        law = tp.DegreeLaw(d, lam)
         pmf = oracle.sum_pmf(n, d, lam)
         rng = make_rng(424242)
         trials = 1_000_000
@@ -174,7 +174,7 @@ class TestConditionalMarginal:
         np.testing.assert_allclose(marg, [0.5, 0.5], atol=1e-15)
 
     def test_against_brute_force(self):
-        law = tp.law_from_rate(2, 0.7)
+        law = tp.DegreeLaw(2, 0.7)
         n, target = 4, 5
         joint = np.zeros(3)
         for combo in itertools.product(range(3), repeat=4):

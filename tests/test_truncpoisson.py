@@ -150,10 +150,10 @@ class TestDegreeLaw:
         law = tp.make_degree_law(4, 1.05783)
         assert abs(tp.molloy_reed_q(law)) < 1e-4
 
-    def test_law_from_rate_matches_pmf_definition(self):
+    def test_degree_law_matches_pmf_definition(self):
         for d in range(1, 8):
             for lam in (0.3, 1.7, 6.0):
-                law = tp.law_from_rate(d, lam)
+                law = tp.DegreeLaw(d, lam)
                 s = tp.partial_exp_sum(d, lam)
                 expected = [lam**i / math.factorial(i) / s for i in range(d + 1)]
                 np.testing.assert_allclose(law.probs, expected, rtol=1e-12)
@@ -161,7 +161,7 @@ class TestDegreeLaw:
     def test_mean_identity(self):
         for d in range(1, 11):
             for lam in LAMBDA_GRID:
-                law = tp.law_from_rate(d, lam)
+                law = tp.DegreeLaw(d, lam)
                 moment = float(np.arange(d + 1) @ law.probs)
                 assert abs(moment - tp.mean(d, lam)) <= 1e-12
 
@@ -190,17 +190,17 @@ class TestDegreeLaw:
     @BAD_PROBABILITY_VECTORS
     def test_law_validation_rejects_bad_probability_vectors(self, probs, message):
         with pytest.raises(ValueError, match=message):
-            tp.DegreeLaw(lam=1.0, probs=probs)
+            tp.as_probs(probs)
 
     @pytest.mark.parametrize("lam", [-3.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
     def test_law_validation_rejects_bad_rates(self, lam):
         with pytest.raises(ValueError, match="rate must be a positive finite real"):
-            tp.DegreeLaw(lam=lam, probs=[0.5, 0.5])
+            tp.DegreeLaw(1, lam)
 
     @pytest.mark.parametrize("d", [1, 2, 4, 60, 400])
     def test_every_rate_builds_a_law(self, d):
         for lam in [5e-324, 1e-300, *LAMBDA_GRID, 1e300, 1.7976931348623157e308]:
-            law = tp.law_from_rate(d, lam)
+            law = tp.DegreeLaw(d, lam)
             assert law.lam == lam and law.d == d
 
     @BAD_PROBABILITY_VECTORS
@@ -226,15 +226,36 @@ class TestDegreeLaw:
                 tp.as_probs(shapeless)
 
     def test_d_and_mu_are_read_from_probs(self):
-        assert [f.name for f in dataclasses.fields(tp.DegreeLaw)] == ["lam", "probs"]
+        fields = dataclasses.fields(tp.DegreeLaw)
+        assert [f.name for f in fields] == ["d", "lam", "probs"]
+        assert [f.name for f in fields if f.init] == ["d", "lam"]
         for lam in LAMBDA_GRID:
             for d in range(1, 11):
-                law = tp.law_from_rate(d, lam)
+                law = tp.DegreeLaw(d, lam)
                 assert law.d == law.probs.size - 1 == d
                 assert law.mu == float(np.arange(d + 1) @ law.probs)
-        for name in ("d", "mu"):
+        for name in ("d", "lam", "probs", "mu"):
             with pytest.raises(AttributeError):
                 setattr(law, name, 1)
+
+    def test_replacing_the_rate_rebuilds_the_probabilities(self):
+        law = tp.make_degree_law(3, 1.5)
+        for lam in (0.3, 4.0, 50.0):
+            moved = dataclasses.replace(law, lam=lam)
+            np.testing.assert_array_equal(moved.probs, tp.DegreeLaw(3, lam).probs)
+            assert moved.mu == pytest.approx(tp.mean(3, lam), rel=1e-12)
+
+    def test_equality_and_hash_follow_d_and_rate(self):
+        law = tp.DegreeLaw(4, 1.7)
+        twin = tp.DegreeLaw(4, 1.7)
+        assert law == twin and hash(law) == hash(twin)
+        assert law != tp.DegreeLaw(4, 1.8) and law != tp.DegreeLaw(5, 1.7)
+        assert len({law, twin, tp.DegreeLaw(4, 1.8)}) == 2
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_law_rejects_max_degree_below_one(self, d):
+        with pytest.raises(ValueError, match="max degree must be >= 1"):
+            tp.DegreeLaw(d, 1.0)
 
 
     @pytest.mark.parametrize(
@@ -255,7 +276,7 @@ class TestDegreeLaw:
         # the float range, at the top class or (1000, 800.0) inside; the
         # others are ordinary rates, peaked at 0, inside or at the top.
         # Each law must match the exact rational weights.
-        law = tp.law_from_rate(d, lam)
+        law = tp.DegreeLaw(d, lam)
         # Weights lam^j * d!/j!, proportional to lam^j / j!; Fraction(lam)
         # is the float rate exactly.
         rate = Fraction(lam)
@@ -271,13 +292,13 @@ class TestDegreeLaw:
 class TestVariance:
     def test_bernoulli_case(self):
         # d = 1, lam = 1 is Bernoulli(1/2): variance 1/4.
-        law = tp.law_from_rate(1, 1.0)
+        law = tp.DegreeLaw(1, 1.0)
         assert tp.variance(law) == pytest.approx(0.25, abs=1e-14)
 
     def test_bounded_by_mean_on_grid(self):
         for d in range(1, 11):
             for lam in LAMBDA_GRID:
-                law = tp.law_from_rate(d, lam)
+                law = tp.DegreeLaw(d, lam)
                 v = tp.variance(law)
                 assert 0.0 <= v <= law.mu + 1e-14
 
@@ -286,7 +307,7 @@ class TestMolloyReedQ:
     def test_dual_formula_agreement(self):
         for d in range(2, 11):
             for lam in LAMBDA_GRID:
-                law = tp.law_from_rate(d, lam)
+                law = tp.DegreeLaw(d, lam)
                 q_moment = tp.molloy_reed_q(law)
                 q_closed = tp.molloy_reed_q_closed_form(law)
                 assert abs(q_moment - q_closed) <= 1e-12 * max(1.0, abs(q_moment))
@@ -301,14 +322,14 @@ class TestMolloyReedQ:
         assert abs(tp.molloy_reed_q(law)) < 1e-4
 
     def test_rejects_d_one(self):
-        for law in (tp.law_from_rate(1, 1.0), [0.5, 0.5]):
+        for law in (tp.DegreeLaw(1, 1.0), [0.5, 0.5]):
             with pytest.raises(ValueError, match="max degree >= 2"):
                 tp.molloy_reed_q(law)
 
     def test_bare_vector_gives_the_laws_value(self):
         for d in range(2, 11):
             for lam in LAMBDA_GRID:
-                law = tp.law_from_rate(d, lam)
+                law = tp.DegreeLaw(d, lam)
                 assert tp.molloy_reed_q(law.probs.tolist()) == tp.molloy_reed_q(law)
 
 
