@@ -33,18 +33,6 @@ class ComponentReport:
     m: int
 
 
-def _endpoints(g: SimpleGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The edges' endpoints u < v, decoded once from the codes.
-
-    int32 while n < 2**31, which halves them against int64; divmod writes
-    them through its buffered cast, so no int64 copy is made.
-    """
-    dtype = np.int32 if g.n < 2**31 else np.int64
-    lo, hi = np.empty(g.m, dtype), np.empty(g.m, dtype)
-    np.divmod(g.codes, g.n, out=(lo, hi))
-    return lo, hi
-
-
 def _roots(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Component label of each vertex: the smallest vertex of its component.
 
@@ -87,11 +75,14 @@ def connected_components(
     """Component sizes of the graph, sorted descending.
 
     Labels the vertices with _roots, a few numpy passes over the edges
-    (4-6 rounds on sampled graphs at n = 1e5), then counts the labels.
-    endpoints is g's (u, v) from _endpoints, for a caller that holds them.
+    (4-6 rounds on sampled graphs at n = 1e5), then counts the labels and
+    lists the sizes from the counts of each size, largest first.
+    endpoints is g.endpoints(), for a caller that holds them.
     """
-    counts = np.bincount(_roots(g.n, *(endpoints or _endpoints(g))))
-    return np.sort(counts[counts > 0])[::-1].tolist()
+    counts = np.bincount(_roots(g.n, *(endpoints or g.endpoints())))
+    hist = np.bincount(counts)
+    hist[0] = 0
+    return np.repeat(np.arange(hist.size - 1, -1, -1), hist[::-1]).tolist()
 
 
 def report(g: SimpleGraph) -> ComponentReport:
@@ -103,10 +94,9 @@ def report(g: SimpleGraph) -> ComponentReport:
     a labelling round holds at most the endpoints, their gathered roots
     and one transient int64 copy of the index it gathers by.  On a
     4-regular graph at n = 1e5 (m = 2n) the peak is about 3.4 * 8m bytes
-    beyond the codes; an int64 decode plus a concatenated 2m-vector for
-    the degrees took 4.8 * 8m.
+    beyond the codes.
     """
-    lo, hi = _endpoints(g)
+    lo, hi = g.endpoints()
     # Counted in place: bincount would first copy each int32 vector to int64.
     degree = np.zeros(g.n, np.int64)
     np.add.at(degree, lo, 1)

@@ -396,13 +396,13 @@ def conditioning_acceptance_rate(
 
 def simplicity_acceptance_rate(
     n: int, m: int, d: int, min_pairings: int, seed: int
-) -> tuple[float, float, int]:
+) -> tuple[float, int]:
     """Measured simplicity acceptance of the configuration pairing.
 
     Samples graphs on per-trial streams until at least min_pairings
     pairing attempts have been observed, then returns (accepted/attempted,
-    mean per-attempt alpha diagnostic, attempts).  The rate should be
-    essentially independent of n for fixed d and mean degree.
+    attempts).  The rate should be essentially independent of n for fixed
+    d and mean degree.
     """
     if min_pairings < 1:
         raise ValueError(f"need min_pairings >= 1, got {min_pairings}")
@@ -411,4 +411,4 @@ def simplicity_acceptance_rate(
     while stats.pairings < min_pairings:
         sampler.sample_graph(n, m, d, trial_rng(seed, t), stats)
         t += 1
-    return stats.simplicity_rate, stats.alpha_mean, stats.pairings
+    return stats.simplicity_rate, stats.pairings

@@ -13,17 +13,8 @@ the fraction theta = 1 - G0(xi) of the vertices.  xi = 1 always solves the
 fixed point; when the Molloy-Reed value Q = sum i(i-2) p_i is positive, a
 second root lies in [0, 1).
 
-The same root appears in the exploration frontier
-
-    frontier(x) = D - 2x - sum_{i=1}^{d} i p_i (1 - 2x/D)^(i/2),
-
-x in [0, D/2], which to first order is the expected number of half-edges
-on reached-but-unexplored vertices after x n edges have been exposed
-(Janson & Luczak 2009).  Substituting xi = sqrt(1 - 2x/D) turns it into
-xi * (D xi - sum_i i p_i xi^(i-1)) = xi * D (xi - G1(xi)), so the
-frontier's smallest positive root is x = D/2 (1 - xi^2).  The root is
-found as the root of that polynomial in xi; the frontier itself is kept
-as an independent check.
+frontier_root reports it as x = D/2 (1 - xi^2), the exploration frontier's
+root (Janson & Luczak 2009), derived in tests/analytic_reference.py.
 """
 
 from __future__ import annotations
@@ -42,7 +33,6 @@ from .truncpoisson import DegreeLaw
 __all__ = [
     "Phase",
     "PhasePrediction",
-    "exploration_frontier",
     "frontier_root",
     "giant_fraction",
     "predict",
@@ -66,31 +56,6 @@ class Phase(str, Enum):
 
 def _degree_mean(probs: np.ndarray) -> float:
     return float(np.arange(probs.size) @ probs)
-
-
-def exploration_frontier(law: DegreeLaw | Sequence[float], x: float) -> float:
-    """Evaluate the exploration frontier function at x.
-
-    Args:
-        law: A DegreeLaw, or a bare probability vector over degrees 0..d
-            (degenerate distributions are accepted; only the frontier
-            algebra is used).
-        x: Exposed-edge density, in [0, D/2] with D the mean degree.
-
-    Raises:
-        ValueError: If x falls outside [0, D/2]; half-integer powers of
-            1 - 2x/D are undefined past the midpoint.
-    """
-    probs = truncpoisson.as_probs(law)
-    big_d = _degree_mean(probs)
-    x = float(x)
-    if not (0.0 <= x <= big_d / 2.0 + 1e-15):
-        raise ValueError(f"x must lie in [0, {big_d / 2.0}], got {x!r}")
-    # (1 - 2x/D)^(i/2) via the square root, exact at both endpoints; the
-    # max() guards a one-ulp negative at x = D/2.
-    xi = math.sqrt(max(1.0 - 2.0 * x / big_d, 0.0))
-    i = np.arange(1, probs.size)
-    return big_d - 2.0 * x - float((i * probs[1:]) @ xi**i)
 
 
 def frontier_root(law: DegreeLaw | Sequence[float]) -> float:

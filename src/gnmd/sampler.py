@@ -47,6 +47,7 @@ Both routes draw from the same law on different random streams.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,8 +96,8 @@ class SimpleGraph:
     """Simple labeled graph with max degree at most d, stored as its canonical form.
 
     codes holds each edge (u < v) as u*n + v: a frozen, strictly increasing
-    int64 vector.  edges decodes it on each access to an (m, 2) int64 array
-    in lexicographic order.  Construction checks the codes and n >= 1.
+    int64 vector.  endpoints() is its one decoder; edges and degrees() read
+    it.  Construction checks n and d are integers, n >= 1, and the codes.
     """
 
     n: int
@@ -104,20 +105,26 @@ class SimpleGraph:
     codes: np.ndarray  # shape (m,), strictly increasing
 
     def __post_init__(self) -> None:
-        codes = np.array(self.codes, dtype=np.int64)
+        n, d = operator.index(self.n), operator.index(self.d)
+        codes = np.array(self.codes)
+        if codes.size and codes.dtype.kind not in "iu":
+            raise ValueError(f"edge codes must be integers, got dtype {codes.dtype}")
+        codes = codes.astype(np.int64, copy=False)
         codes.setflags(write=False)
-        object.__setattr__(self, "codes", codes)
-        if self.n < 1:
-            raise ValueError(f"need at least one vertex, got n={self.n}")
+        self.__dict__.update(n=n, d=d, codes=codes)
+        if n < 1:
+            raise ValueError(f"need at least one vertex, got n={n}")
         if codes.ndim != 1:
             raise ValueError(f"codes must be a vector, got shape {codes.shape}")
-        u, v = np.divmod(codes, self.n)
-        if not np.all((0 <= u) & (u < v)):
-            raise ValueError(f"edge codes must decode to pairs 0 <= u < v < n={self.n}")
+        # Range-checked in int64 before the decode, which is int32 and could wrap.
+        if codes.size and (
+            codes.min() < 0 or codes.max() >= n * n or np.any(np.greater_equal(*self.endpoints()))
+        ):
+            raise ValueError(f"edge codes must decode to pairs 0 <= u < v < n={n}")
         if np.any(np.diff(codes) <= 0):
             raise ValueError("edge codes must be sorted and duplicate-free")
-        if self.degrees().max(initial=0) > self.d:
-            raise ValueError(f"a vertex exceeds the degree bound {self.d}")
+        if self.degrees().max(initial=0) > d:
+            raise ValueError(f"a vertex exceeds the degree bound {d}")
 
     @classmethod
     def _trusted(cls, n: int, d: int, codes: np.ndarray) -> SimpleGraph:
@@ -136,10 +143,21 @@ class SimpleGraph:
 
     @property
     def edges(self) -> np.ndarray:
-        return np.column_stack(np.divmod(self.codes, self.n))
+        return np.stack(self.endpoints(), axis=1, dtype=np.int64)
 
     def degrees(self) -> np.ndarray:
-        return np.bincount(np.concatenate(np.divmod(self.codes, self.n)), minlength=self.n)
+        return np.bincount(np.concatenate(self.endpoints()), minlength=self.n)
+
+    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edges' endpoints u < v, decoded once from the codes.
+
+        int32 while n < 2**31, which halves them against int64; divmod writes
+        them through its buffered cast, so no int64 copy is made.
+        """
+        dtype = np.int32 if self.n < 2**31 else np.int64
+        lo, hi = np.empty(self.m, dtype), np.empty(self.m, dtype)
+        np.divmod(self.codes, self.n, out=(lo, hi))
+        return lo, hi
 
 
 @dataclass
@@ -148,20 +166,12 @@ class SamplerStats:
 
     histogram_draws counts the histograms drawn by the one-attempt route,
     pairings the attempts that reached the pairing stage and simple the
-    ones kept.  alpha is sum_i x_i(x_i - 1) / (2m) of an attempted degree
-    sequence; its running mean tracks the quantity that controls the
-    simplicity acceptance probability, which is why its sum over attempts
-    is kept.
+    ones kept.
     """
 
     histogram_draws: int = 0
     pairings: int = 0
     simple: int = 0
-    alpha_total: float = 0.0
-
-    @property
-    def alpha_mean(self) -> float:
-        return self.alpha_total / self.pairings if self.pairings else math.nan
 
     @property
     def simplicity_rate(self) -> float:
@@ -374,8 +384,6 @@ def _simple_codes(
     filled = misses = 0
     while filled < count:
         degrees = sample_degree_sequence(n, m, law, rows, rng, stats)
-        if stats is not None:
-            stats.alpha_total += float((degrees * (degrees - 1)).sum() / (2 * m))
         tokens = pair_configuration(degrees, m, rng)
         del degrees
         codes, simple = is_simple(tokens, n)
@@ -414,8 +422,8 @@ def sample_graph(
     (n, m, d) and generator state produce the identical graph.
 
     Args:
-        stats: Optional SamplerStats accumulator; records histogram draws,
-            pairing attempts, and the sum of per-attempt alpha diagnostics.
+        stats: Optional SamplerStats accumulator; counts histogram draws,
+            pairing attempts and simple pairings.
 
     Raises:
         ValueError: If the instance is infeasible (2m > dn).

@@ -35,7 +35,6 @@ __all__ = [
     "mean",
     "invert_mean",
     "make_degree_law",
-    "variance",
     "molloy_reed_q",
     "critical_mean_degree",
     "critical_mean_degree_approx",
@@ -227,25 +226,13 @@ def make_degree_law(d: int, mu: float) -> DegreeLaw:
     return DegreeLaw(d, invert_mean(d, mu))
 
 
-def variance(law: DegreeLaw) -> float:
-    """Variance of the degree law, computed from raw moments of probs.
-
-    Equals E Z(Z-1) - mu^2 + mu; never exceeds the mean (a consequence of
-    the log-concavity of the partial exponential sums) and never drops
-    below zero.
-    """
-    i = np.arange(law.d + 1)
-    return float((i * i) @ law.probs - law.mu**2)
-
-
 def molloy_reed_q(law: DegreeLaw | Sequence[float]) -> float:
     """Molloy-Reed criterion value Q = sum_i i(i-2) probs[i].
 
     The sign of Q classifies the phase of a random graph with this degree
     distribution: Q < 0 means all components stay small, Q > 0 means a
     giant component emerges.  For a truncated Poisson law Q also has the
-    closed form mean(d, lam) * (mean(d-1, lam) - 1), which agrees with the
-    moment sum to full precision and is exercised by the test suite.
+    closed form mean(d, lam) * (mean(d-1, lam) - 1) (tests/analytic_reference.py).
 
     Raises:
         ValueError: If d < 2, or a bare vector fails as_probs.
@@ -255,13 +242,6 @@ def molloy_reed_q(law: DegreeLaw | Sequence[float]) -> float:
         raise ValueError(f"phase classification needs max degree >= 2, got {probs.size - 1}")
     i = np.arange(probs.size)
     return float((i * (i - 2)) @ probs)
-
-
-def molloy_reed_q_closed_form(law: DegreeLaw) -> float:
-    """Closed form of the Molloy-Reed value: mean_d * (mean_{d-1} - 1)."""
-    if law.d < 2:
-        raise ValueError(f"phase classification needs max degree >= 2, got {law.d}")
-    return mean(law.d, law.lam) * (mean(law.d - 1, law.lam) - 1.0)
 
 
 def critical_mean_degree(d: int) -> float:

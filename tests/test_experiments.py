@@ -299,12 +299,11 @@ class TestAcceptanceProbes:
                 experiments.simplicity_acceptance_rate(50, 30, 3, min_pairings, 1)
 
     def test_simplicity_rate_reasonable(self):
-        rate, alpha, pairings = experiments.simplicity_acceptance_rate(
+        rate, pairings = experiments.simplicity_acceptance_rate(
             500, 300, 4, min_pairings=200, seed=11
         )
         assert pairings >= 200
         assert 0.05 < rate < 1.0
-        assert 0.0 < alpha < 4.0
 
 
 class TestWorkerCount:

