@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import components as components_mod
-from . import experiments, giant, oracle, sampler, truncpoisson
+from . import experiments, giant, oracle, sampler
 from .seeding import make_rng
 
 
@@ -84,8 +84,6 @@ def _mu_grid(args: argparse.Namespace) -> list[float]:
     for flag, bound in (("--mu-from", args.mu_from), ("--mu-to", args.mu_to)):
         if not math.isfinite(bound):
             raise ValueError(f"{flag} must be finite, got {bound}")
-    if args.steps == 1:
-        return [args.mu_from]
     return list(np.linspace(args.mu_from, args.mu_to, args.steps))
 
 
@@ -118,7 +116,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             for row in ensemble.edge_codes:
-                fh.write(sampler.format_graph(ensemble.n, ensemble.d, row) + "\n")
+                g = sampler.SimpleGraph(ensemble.n, ensemble.d, row)
+                fh.write(sampler.format_graph(g) + "\n")
         print(f"wrote ensemble to {args.out}")
     if args.trials:
         start = time.perf_counter()

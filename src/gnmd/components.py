@@ -69,17 +69,15 @@ def _roots(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return parent
 
 
-def connected_components(
-    g: SimpleGraph, endpoints: tuple[np.ndarray, np.ndarray] | None = None
-) -> list[int]:
+def connected_components(g: SimpleGraph) -> list[int]:
     """Component sizes of the graph, sorted descending.
 
-    Labels the vertices with _roots, a few numpy passes over the edges
-    (4-6 rounds on sampled graphs at n = 1e5), then counts the labels and
-    lists the sizes from the counts of each size, largest first.
-    endpoints is g.endpoints(), for a caller that holds them.
+    Labels the vertices with _roots over g.endpoints(), a few numpy passes
+    over the edges (4-6 rounds on sampled graphs at n = 1e5), then counts
+    the labels and lists the sizes from the counts of each size, largest
+    first.
     """
-    counts = np.bincount(_roots(g.n, *(endpoints or g.endpoints())))
+    counts = np.bincount(_roots(g.n, *g.endpoints()))
     hist = np.bincount(counts)
     hist[0] = 0
     return np.repeat(np.arange(hist.size - 1, -1, -1), hist[::-1]).tolist()
@@ -88,22 +86,16 @@ def connected_components(
 def report(g: SimpleGraph) -> ComponentReport:
     """Component decomposition plus the degree histogram of the graph.
 
-    Memory: the codes are decoded once, to two int32 m-vectors (8m bytes)
-    that serve both the degree histogram and the labelling.  The int64
-    degree vector (8n bytes) is freed before _roots allocates its labels;
-    a labelling round holds at most the endpoints, their gathered roots
-    and one transient int64 copy of the index it gathers by.  On a
-    4-regular graph at n = 1e5 (m = 2n) the peak is about 3.4 * 8m bytes
-    beyond the codes.
+    Memory: g.degrees() and connected_components each decode the codes to
+    two int32 m-vectors (8m bytes), one after the other.  The int64 degree
+    vector (8n bytes) is freed before _roots allocates its labels; a
+    labelling round holds at most the endpoints, their gathered roots and
+    one transient int64 copy of the index it gathers by.  On a 4-regular
+    graph at n = 1e5 (m = 2n) the peak is about 3.4 * 8m bytes beyond the
+    codes.
     """
-    lo, hi = g.endpoints()
-    # Counted in place: bincount would first copy each int32 vector to int64.
-    degree = np.zeros(g.n, np.int64)
-    np.add.at(degree, lo, 1)
-    np.add.at(degree, hi, 1)
-    degree_counts = np.bincount(degree, minlength=g.d + 1)
-    del degree
-    sizes = connected_components(g, (lo, hi))
+    degree_counts = np.bincount(g.degrees(), minlength=g.d + 1)
+    sizes = connected_components(g)
     total = sum(sizes)
     assert total == g.n, f"component sizes sum to {total}, expected {g.n}"
     weighted = int(np.arange(degree_counts.size) @ degree_counts)

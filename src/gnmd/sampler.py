@@ -146,13 +146,17 @@ class SimpleGraph:
         return np.stack(self.endpoints(), axis=1, dtype=np.int64)
 
     def degrees(self) -> np.ndarray:
-        return np.bincount(np.concatenate(self.endpoints()), minlength=self.n)
+        """Vertex degrees (int64), counted in place over endpoints() without copying them."""
+        degree = np.zeros(self.n, np.int64)
+        for side in self.endpoints():
+            np.add.at(degree, side, 1)
+        return degree
 
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """The edges' endpoints u < v, decoded once from the codes.
 
-        int32 while n < 2**31, which halves them against int64; divmod writes
-        them through its buffered cast, so no int64 copy is made.
+        int32 while n < 2**31, which halves them against int64; the decode
+        writes them through its buffered cast, so no int64 copy is made.
         """
         dtype = np.int32 if self.n < 2**31 else np.int64
         lo, hi = np.empty(self.m, dtype), np.empty(self.m, dtype)
@@ -465,16 +469,16 @@ def sample_edge_codes(
     return _simple_codes(n, m, d, count, rows, rng, None)
 
 
-def format_graph(n: int, d: int, codes: np.ndarray) -> str:
-    """The graph file text: a header "n m d", then "u v" per sorted edge code u*n + v."""
-    u, v = np.divmod(codes, n)
+def format_graph(g: SimpleGraph) -> str:
+    """The graph file text of g: a header "n m d", then "u v" per edge in code order."""
+    u, v = g.endpoints()
     lines = "".join(f"{a} {b}\n" for a, b in zip(u.tolist(), v.tolist()))
-    return f"{n} {len(codes)} {d}\n{lines}"
+    return f"{g.n} {g.m} {g.d}\n{lines}"
 
 
 def write_graph(path: str | Path, g: SimpleGraph) -> None:
     """Write g to `path` in the format of format_graph."""
-    Path(path).write_text(format_graph(g.n, g.d, g.codes))
+    Path(path).write_text(format_graph(g))
 
 
 def read_graph(path: str | Path) -> SimpleGraph:

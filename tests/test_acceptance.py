@@ -24,7 +24,7 @@ from gnmd import (
     sampler,
     truncpoisson as tp,
 )
-from gnmd.seeding import make_rng, trial_rng
+from gnmd.seeding import trial_rng
 
 from analytic_reference import exploration_frontier, molloy_reed_q_closed_form, variance
 

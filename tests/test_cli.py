@@ -186,6 +186,16 @@ class TestSweepCommand:
         assert lines[0].startswith("d,mu,n,m,trials,predicted_theta")
         assert len(lines) == 3
 
+    def test_one_step_is_one_row_at_mu_from(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run_cli([
+            "sweep", "--d", "3", "--mu-from", "0.8", "--mu-to", "1.8",
+            "--steps", "1", "--n", "150", "--trials", "2",
+            "--seed", "11", "--out", str(out),
+        ]) == 0
+        header, *rows = out.read_text().splitlines()
+        assert len(rows) == 1 and rows[0].startswith("3,0.8,150,60,2,")
+
 
 class TestDuelCommand:
     def test_writes_csv(self, tmp_path, capsys):

@@ -144,6 +144,17 @@ class TestConnectedComponents:
         assert components.connected_components(g) == csgraph_component_sizes(g)
 
 
+class TestDegrees:
+    @settings(max_examples=200, deadline=None)
+    @given(g=labelled_graphs())
+    @example(g=graph_from_edges(1, 1, []))
+    @example(g=graph_from_edges(6, 6, [(1, 4), (0, 4)]))
+    def test_match_the_count_over_the_joined_endpoints(self, g):
+        expected = np.bincount(np.concatenate(g.endpoints()), minlength=g.n)
+        degrees = g.degrees()
+        assert degrees.dtype == expected.dtype and np.array_equal(degrees, expected)
+
+
 class TestReport:
     def test_unique_tiny_graph(self):
         g = sampler.sample_graph(2, 1, 3, make_rng(0))

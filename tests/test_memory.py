@@ -1,4 +1,4 @@
-"""Allocation bounds of the simplicity check and the component report.
+"""Allocation bounds of the simplicity check, the degree count and the component report.
 
 tracemalloc sees numpy's buffers, so each peak is a deterministic count of
 bytes for a given input.  The input is a 4-regular circulant graph at
@@ -60,3 +60,12 @@ def test_report_stays_under_its_bound(pairing):
     # Decoding to int64 and concatenating both endpoint vectors for the
     # degrees took 4.8 * 8m; the int32 decode and its rounds take about 3.4.
     assert peak_bytes(lambda: components.report(g)) <= 3.5 * 8 * M
+
+
+def test_degrees_count_without_copying_the_endpoints(pairing):
+    codes, _ = sampler.is_simple(pairing, N)
+    g = sampler.SimpleGraph._trusted(N, 4, codes[0])
+    assert (g.degrees() == 4).all()
+    # The int32 endpoints and the int64 counts; joining the endpoints and
+    # copying them to int64 for bincount took 3.5 * 8m.
+    assert peak_bytes(g.degrees) <= 2 * 8 * M

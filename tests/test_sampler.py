@@ -372,6 +372,54 @@ class TestBulkSampler:
             sampler.sample_edge_codes(2, 2, 2, 1, make_rng(0))
 
 
+def repaired_codes(n, m, d, rng, cap=200):
+    """A biased control sampler: keep one degree vector and re-pair it until simple.
+
+    Each graph is then drawn with its vector's probability divided by the
+    vector's count of simple graphs, not uniformly.  Up to `cap` pairings
+    of one vector are drawn at once and the first simple one is kept;
+    past the cap a new vector is drawn, since some vectors, such as
+    (3, 3, 3, 1, 0), have no simple realisation.
+    """
+    law = sampler._degree_law(n, m, d)
+    while True:
+        degrees = sampler.sample_degree_sequence(n, m, law, 1, rng)
+        codes, _ = sampler.is_simple(
+            sampler.pair_configuration(np.repeat(degrees, cap, axis=0), m, rng), n
+        )
+        if len(codes):
+            return codes[0]
+
+
+class TestScalarUniformity:
+    """sample_graph, which carries every sweep and duel, against the enumerated ensemble.
+
+    At (5, 5, 3) the degree vectors differ in their counts of simple
+    graphs, so re-pairing a kept vector is biased there, unlike at
+    (4, 3, 2); the control shows that the gate sees that bias.
+    """
+
+    TRIALS = 5_000
+
+    def chi_square(self, draw):
+        ensemble = oracle.enumerate_graphs(5, 5, 3)
+        assert ensemble.count == 222
+        rng = make_rng(0)
+        codes = np.array([draw(5, 5, 3, rng) for _ in range(self.TRIALS)])
+        observed = oracle._tally(ensemble, oracle._key_index(ensemble), codes)
+        expected = self.TRIALS / ensemble.count
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        return chi2, oracle._chi_square_quantile(ensemble.count - 1, 0.001)
+
+    def test_sample_graph_passes_the_gate(self):
+        chi2, q999 = self.chi_square(lambda n, m, d, rng: sampler.sample_graph(n, m, d, rng).codes)
+        assert chi2 <= q999, f"chi2 {chi2:.1f} > {q999:.1f}"
+
+    def test_the_gate_rejects_re_pairing(self):
+        chi2, q999 = self.chi_square(repaired_codes)
+        assert chi2 > q999, f"chi2 {chi2:.1f} <= {q999:.1f}"
+
+
 @st.composite
 def tiny_instances(draw):
     """(n, m, d) with n <= 6 and d < n, regular (2m = dn) ones included.
@@ -419,6 +467,11 @@ class TestGraphFileFormat:
         back = sampler.read_graph(path)
         assert back.n == g.n and back.m == g.m and back.d == g.d
         assert (back.codes == g.codes).all()
+
+    def test_format_graph_writes_one_line_per_edge_row(self):
+        g = sampler.sample_graph(40, 30, 4, make_rng(6))
+        lines = "".join(f"{u} {v}\n" for u, v in g.edges.tolist())
+        assert sampler.format_graph(g) == f"40 30 4\n{lines}"
 
     def test_format_layout(self, tmp_path):
         g = sampler.sample_graph(2, 1, 3, make_rng(0))
