@@ -35,8 +35,6 @@ __all__ = [
     "run_sweep",
     "run_percolation_duel",
     "write_csv",
-    "conditioning_acceptance_rate",
-    "simplicity_acceptance_rate",
     "worker_count",
 ]
 
@@ -365,50 +363,3 @@ def write_csv(rows: Sequence[SweepRow] | Sequence[DuelRow], path: str | Path) ->
         values = (getattr(row, name) for name in names)
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in values))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def conditioning_acceptance_rate(
-    n: int, m: int, d: int, draws: int, seed: int
-) -> float:
-    """Empirical probability that n i.i.d. degrees sum to exactly 2m.
-
-    Runs the sampler's own conditioning loop, sample_degree_sequence with
-    one row and the sampler's law for the instance, until it has counted
-    at least `draws` degree histograms, and returns the sequences it kept
-    per histogram counted.  This is the conditioning acceptance rate of the
-    degree sequence sampler; theory puts it at order 1/sqrt(n).  A regular
-    instance (every degree pinned to 2m/n) draws no histogram: its rate is
-    1.0.
-    """
-    if draws < 1:
-        raise ValueError(f"need draws >= 1, got {draws}")
-    law = sampler._degree_law(n, m, d)
-    if law is None:
-        return 1.0
-    rng = trial_rng(seed, 0)
-    stats = sampler.SamplerStats()
-    sequences = 0
-    while stats.histogram_draws < draws:
-        sampler.sample_degree_sequence(n, m, law, 1, rng, stats)
-        sequences += 1
-    return sequences / stats.histogram_draws
-
-
-def simplicity_acceptance_rate(
-    n: int, m: int, d: int, min_pairings: int, seed: int
-) -> tuple[float, int]:
-    """Measured simplicity acceptance of the configuration pairing.
-
-    Samples graphs on per-trial streams until at least min_pairings
-    pairing attempts have been observed, then returns (accepted/attempted,
-    attempts).  The rate should be essentially independent of n for fixed
-    d and mean degree.
-    """
-    if min_pairings < 1:
-        raise ValueError(f"need min_pairings >= 1, got {min_pairings}")
-    stats = sampler.SamplerStats()
-    t = 0
-    while stats.pairings < min_pairings:
-        sampler.sample_graph(n, m, d, trial_rng(seed, t), stats)
-        t += 1
-    return stats.simplicity_rate, stats.pairings

@@ -221,7 +221,16 @@ def test_criterion_08_conditioning_acceptance():
     t0 = time.monotonic()
     n, d, mu = 10_000, 4, 1.2
     m = math.ceil(mu * n / 2)
-    rate = experiments.conditioning_acceptance_rate(n, m, d, 1_000_000, seed=1004)
+    # The sampler's own conditioning loop, one histogram-route sequence at
+    # a time, until a million histogram draws have been counted.
+    law = sampler._degree_law(n, m, d)
+    rng = trial_rng(1004, 0)
+    stats = sampler.SamplerStats()
+    sequences = 0
+    while stats.histogram_draws < 1_000_000:
+        sampler.sample_degree_sequence(n, m, law, 1, rng, stats)
+        sequences += 1
+    rate = sequences / stats.histogram_draws
     lower = 1.0 / (10.0 * math.sqrt(mu * n))
     upper = 3.0 / math.sqrt(n)
     elapsed = time.monotonic() - t0
@@ -240,10 +249,12 @@ def test_criterion_09_simplicity_stability():
     rates = {}
     for n in (1_000, 10_000, 100_000):
         m = math.ceil(mu * n / 2)
-        rate, _ = experiments.simplicity_acceptance_rate(
-            n, m, d, min_pairings=1_500, seed=1005
-        )
-        rates[n] = rate
+        stats = sampler.SamplerStats()
+        t = 0
+        while stats.pairings < 1_500:
+            sampler.sample_graph(n, m, d, trial_rng(1005, t), stats)
+            t += 1
+        rates[n] = stats.simple / stats.pairings
     spread = (max(rates.values()) - min(rates.values())) / min(rates.values())
     elapsed = time.monotonic() - t0
     ok = spread < 0.20

@@ -116,6 +116,16 @@ class TestSampleAndComponents:
         assert sum(payload["sizes"]) == 60
         assert sum(i * c for i, c in enumerate(payload["degree_counts"])) == 90
 
+    def test_edgeless_sample_round_trips_as_isolated_vertices(self, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        assert run_cli(["sample", "--n", "5", "--m", "0", "--d", "3",
+                        "--seed", "0", "--out", str(path)]) == 0
+        assert path.read_text() == "5 0 3\n"
+        capsys.readouterr()
+        assert run_cli(["components", "--in", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["sizes"] == [1] * 5 and payload["degree_counts"] == [5, 0, 0, 0]
+
     def test_components_histogram_stops_at_n_minus_one(self, tmp_path, capsys):
         # A header bound past n - 1 once sized the degree histogram: this
         # file printed ten million counts.

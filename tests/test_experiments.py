@@ -262,50 +262,6 @@ class TestWriteCsv:
             experiments.write_csv([], tmp_path / "empty.csv")
 
 
-class TestAcceptanceProbes:
-    def test_conditioning_rate_matches_exact_pmf(self):
-        # For a small instance the exact acceptance probability comes from
-        # the sum-pmf oracle; the empirical estimate must agree.
-        from gnmd import oracle
-
-        n, m, d = 30, 20, 3
-        lam = tp.invert_mean(d, 2 * m / n)
-        exact = oracle.sum_pmf(n, d, lam)[2 * m]
-        rate = experiments.conditioning_acceptance_rate(n, m, d, 200_000, seed=7)
-        assert rate == pytest.approx(exact, abs=4 * math.sqrt(exact / 200_000))
-
-    def test_conditioning_rate_of_a_regular_instance_is_one(self):
-        # Every degree is pinned to 3: no histogram is drawn, none rejected.
-        assert experiments.conditioning_acceptance_rate(10, 15, 3, 100, 1) == 1.0
-
-    def test_conditioning_rate_uses_the_sampler_law_truncated_at_2m(self):
-        # With d = 1e6 the law stops at 2m = 2, as the sampler's does; an
-        # untruncated law over a million degrees took 24 s and 563 MB.
-        from gnmd import oracle
-
-        n, m, d = 3, 1, 10**6
-        exact = oracle.sum_pmf(n, 2, tp.invert_mean(2, 2 * m / n))[2 * m]
-        rate = experiments.conditioning_acceptance_rate(n, m, d, 50_000, seed=3)
-        assert rate == pytest.approx(exact, abs=4 * math.sqrt(exact / 50_000))
-
-    def test_conditioning_rate_rejects_an_empty_budget(self):
-        for draws in (0, -1):
-            with pytest.raises(ValueError, match="draws >= 1"):
-                experiments.conditioning_acceptance_rate(30, 20, 3, draws, 1)
-
-    def test_simplicity_rate_rejects_an_empty_budget(self):
-        for min_pairings in (0, -1):
-            with pytest.raises(ValueError, match="min_pairings >= 1"):
-                experiments.simplicity_acceptance_rate(50, 30, 3, min_pairings, 1)
-
-    def test_simplicity_rate_reasonable(self):
-        rate, pairings = experiments.simplicity_acceptance_rate(
-            500, 300, 4, min_pairings=200, seed=11
-        )
-        assert pairings >= 200
-        assert 0.05 < rate < 1.0
-
-
 class TestWorkerCount:
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv("GNMD_WORKERS", raising=False)
