@@ -112,6 +112,11 @@ def _cmd_duel(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     ensemble = oracle.enumerate_graphs(args.n, args.m, args.d)
+    # The test runs first, so a rejected --trials prints and writes nothing.
+    if args.trials:
+        start = time.perf_counter()
+        rep = oracle.uniformity_test(ensemble, args.trials, args.seed)
+        wall = time.perf_counter() - start
     print(f"ensemble count={ensemble.count}")
     if args.out:
         with open(args.out, "w") as fh:
@@ -120,9 +125,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
                 fh.write(sampler.format_graph(g) + "\n")
         print(f"wrote ensemble to {args.out}")
     if args.trials:
-        start = time.perf_counter()
-        rep = oracle.uniformity_test(ensemble, args.trials, args.seed)
-        wall = time.perf_counter() - start
         print(f"trials={rep.trials} tv_distance={rep.tv_distance:.6g}")
         print(f"chi_square={rep.chi_square:.6g} dof={rep.dof} "
               f"q999={rep.chi_square_q999:.6g} "
@@ -206,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, MemoryError, RuntimeError) as exc:
+    except Exception as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

@@ -83,7 +83,10 @@ def frontier_root(law: DegreeLaw | Sequence[float]) -> float:
     i = np.arange(1, probs.size)
     coeffs = -i * probs[1:]
     coeffs[1] += big_d
-    deflated, _ = P.polydiv(coeffs, [-1.0, 1.0])
+    # Trailing coefficients below rounding (~1e-288 at d = 170) would blow up the companion matrix.
+    size = np.abs(coeffs)
+    last = (size > math.ulp(1.0) * size.max()).nonzero()[0][-1]
+    deflated, _ = P.polydiv(coeffs[: last + 1], [-1.0, 1.0])
     roots = P.polyroots(deflated)
     # G1 is convex with G1'(1) = 1 + Q/D > 1, so no fixed point lies above
     # 1 and the largest real root is the wanted one.  Rounding can move it

@@ -82,9 +82,15 @@ SIMPLICITY_CAP = 1_000
 
 _HISTOGRAM_BATCH = 256
 
-#: Largest vertex count read_graph accepts.  A guard on memory: a header n
-#: makes gnmd components allocate several n-long arrays, whatever m is.
+#: Largest vertex count of a graph or an instance: the int32 label range, so
+#: SimpleGraph.endpoints() decodes every graph to int32.
 MAX_VERTICES = 2**31 - 1
+
+
+def _check_vertices(n: int) -> None:
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"need at least one vertex, got n={n}" if n < 1
+                         else f"n={n} exceeds the limit of {MAX_VERTICES} vertices")
 
 
 class SamplingError(RuntimeError):
@@ -97,7 +103,7 @@ class SimpleGraph:
 
     codes holds each edge (u < v) as u*n + v: a frozen, strictly increasing
     int64 vector.  endpoints() is its one decoder; edges and degrees() read
-    it.  Construction checks n and d are integers, n >= 1, and the codes.
+    it.  Construction checks n and d are integers, the vertex bound on n, and the codes.
     """
 
     n: int
@@ -106,14 +112,13 @@ class SimpleGraph:
 
     def __post_init__(self) -> None:
         n, d = operator.index(self.n), operator.index(self.d)
+        _check_vertices(n)
         codes = np.array(self.codes)
         if codes.size and codes.dtype.kind not in "iu":
             raise ValueError(f"edge codes must be integers, got dtype {codes.dtype}")
         codes = codes.astype(np.int64, copy=False)
         codes.setflags(write=False)
         self.__dict__.update(n=n, d=d, codes=codes)
-        if n < 1:
-            raise ValueError(f"need at least one vertex, got n={n}")
         if codes.ndim != 1:
             raise ValueError(f"codes must be a vector, got shape {codes.shape}")
         # Range-checked in int64 first: the one decode is int32 and could wrap.
@@ -158,11 +163,10 @@ class SimpleGraph:
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """The edges' endpoints u < v, decoded once from the codes.
 
-        int32 while n < 2**31, which halves them against int64; the decode
-        writes them through its buffered cast, so no int64 copy is made.
+        int32, which the vertex bound keeps in range, half the size of int64; the
+        decode writes them through its buffered cast, so no int64 copy is made.
         """
-        dtype = np.int32 if self.n < 2**31 else np.int64
-        lo, hi = np.empty(self.m, dtype), np.empty(self.m, dtype)
+        lo, hi = np.empty(self.m, np.int32), np.empty(self.m, np.int32)
         np.divmod(self.codes, self.n, out=(lo, hi))
         return lo, hi
 
@@ -184,8 +188,7 @@ class SamplerStats:
 
 
 def _check_instance(n: int, m: int, d: int) -> None:
-    if n < 1:
-        raise ValueError(f"need at least one vertex, got n={n}")
+    _check_vertices(n)
     if not 0 <= 2 * m <= d * n:
         raise ValueError(
             f"infeasible instance: 2m = {2 * m} lies outside [0, d*n = {d * n}]"
@@ -429,7 +432,7 @@ def sample_graph(
     m = 0 returns the one edgeless graph.
 
     Raises:
-        ValueError: If n < 1 or the instance is infeasible: 2m outside [0, dn].
+        ValueError: If n breaks the vertex bound or 2m lies outside [0, dn].
         SamplingError: If a degree sequence exhausts its histogram draws or
             SIMPLICITY_CAP attempts in a row pair with a defect (pathological
             parameters, e.g. an instance with no simple graph).
@@ -460,7 +463,7 @@ def sample_edge_codes(
     m = 0 gives `count` empty rows, a (count, 0) array.
 
     Raises:
-        ValueError: If n < 1, 2m lies outside [0, dn] (infeasible) or count < 1.
+        ValueError: If n breaks the vertex bound, 2m lies outside [0, dn] or count < 1.
         SamplingError: If SIMPLICITY_CAP chunks in a row keep no graph.
     """
     _check_instance(n, m, d)
@@ -489,15 +492,14 @@ def read_graph(path: str | Path) -> SimpleGraph:
 
     Raises:
         ValueError: If the file is malformed, a label lies outside [0, n),
-            the graph is invalid, or n exceeds MAX_VERTICES.
+            the graph is invalid, or n breaks the vertex bound.
     """
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 3:
             raise ValueError(f"{path}: header must be 'n m d'")
         n, m, d = (int(t) for t in header)
-        if n > MAX_VERTICES:
-            raise ValueError(f"{path}: n={n} exceeds the limit of {MAX_VERTICES} vertices")
+        _check_vertices(n)  # SimpleGraph's check, before u*n + v can overflow int64
         lines = [line for line in fh if line.strip()]
     edges = np.loadtxt(lines, dtype=np.int64, ndmin=2) if lines else np.empty((0, 2), int)
     if edges.shape != (m, 2):

@@ -322,6 +322,17 @@ class TestOracleCommand:
             path.write_text(block + "\n")
             assert sampler.read_graph(path).codes.tolist() == row.tolist()
 
+    def test_rejected_trial_count_prints_and_writes_nothing(self, tmp_path):
+        # 85 graphs need at least 8500 trials: the command fails before it
+        # prints the count or writes the ensemble.
+        out = tmp_path / "ens.txt"
+        code, stdout, err = run_quietly([
+            "oracle", "--n", "5", "--m", "4", "--d", "2", "--out", str(out),
+            "--trials", "100", "--seed", "0",
+        ])
+        assert code == 1 and stdout == "" and not out.exists()
+        assert "at least 8500 trials" in one_json_error(err)["message"]
+
 
 # -- every failure is one JSON line on stderr and exit code 1 ------------------
 
@@ -383,13 +394,30 @@ class TestFailuresAreOneJsonLine:
             assert code == 1 and out == ""
             one_json_error(err)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(-2, 40), m=st.integers(-2, 60), d=st.integers(-1, 6))
+    @example(n=10**20, m=1, d=2)
+    @example(n=2**63, m=1, d=2)
+    def test_sample(self, tmp_path_factory, n, m, d):
+        path = tmp_path_factory.mktemp("sample") / "g.txt"
+        argv = ["sample", f"--n={n}", f"--m={m}", f"--d={d}", "--seed=0", f"--out={path}"]
+        code, out, err = run_quietly(argv)
+        if code == 0:
+            assert err == "" and len(out.splitlines()) == 1
+            g = sampler.read_graph(path)
+            assert (g.n, g.m) == (n, m)
+        else:
+            assert code == 1 and out == "" and not path.exists()
+            one_json_error(err)
+
     @settings(max_examples=40, deadline=None)
     @given(
-        d=st.integers(-3, 40),
+        d=st.one_of(st.integers(-3, 40), st.sampled_from([170, 190, 400])),
         mu=st.one_of(
             st.floats(-10, 50), st.sampled_from([math.nan, math.inf, -math.inf, 0.0])
         ),
     )
+    @example(d=190, mu=1.5)
     def test_predict(self, d, mu):
         code, out, err = run_quietly(["predict", f"--d={d}", f"--mu={mu!r}", "--json"])
         if code == 0:

@@ -91,6 +91,12 @@ class TestRunSweep:
             expected = pred.giant_fraction or 0.0
             assert row.predicted_theta == pytest.approx(expected, abs=1e-12)
 
+    def test_predicted_theta_at_large_d_matches_simulation(self):
+        (row,) = experiments.run_sweep(
+            experiments.SweepConfig(d=170, mu_grid=(1.5,), n=2000, trials=1, master_seed=0)
+        )
+        assert abs(row.predicted_theta - row.mean_largest_frac) <= 0.05
+
     def test_deterministic(self):
         a = experiments.run_sweep(self.CONFIG)
         b = experiments.run_sweep(self.CONFIG)

@@ -199,6 +199,14 @@ class TestPredict:
     def test_dense_regime_pinned_value(self):
         assert giant.predict(8, 5.0).giant_fraction == pytest.approx(0.9954502132, abs=1e-10)
 
+    @pytest.mark.parametrize("mu", [1.5, 2.0])
+    @pytest.mark.parametrize("d", [170, 400])
+    def test_large_d_matches_d40(self, d, mu):
+        # The classes above ~40 carry less than a rounding error of the law,
+        # down to ~1e-288 at d = 170; they must not reach the root solver.
+        theta = giant.predict(d, mu).giant_fraction
+        assert theta == pytest.approx(giant.predict(40, mu).giant_fraction, rel=1e-12)
+
     def test_near_threshold_fraction_is_small(self):
         pred = giant.predict(4, 1.06)
         assert pred.phase is giant.Phase.SUPERCRITICAL

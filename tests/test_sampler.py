@@ -295,6 +295,27 @@ class TestSampleGraph:
         sampler.SimpleGraph(n=5, d=3, codes=[1, 2, 8])
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: sampler.SimpleGraph(n=n, d=2, codes=[]),
+            lambda n: sampler.sample_graph(n, 1, 2, make_rng(0)),
+            lambda n: sampler.sample_edge_codes(n, 1, 2, 1, make_rng(0)),
+        ],
+        ids=["constructor", "sample_graph", "sample_edge_codes"],
+    )
+    def test_vertex_bound_holds_for_every_graph_and_instance(self, make):
+        # Raised before any n-long array is built.
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            make(2**31)
+
+    def test_endpoints_are_int32_at_the_vertex_bound(self):
+        n = sampler.MAX_VERTICES
+        g = sampler.SimpleGraph._trusted(n, 2, np.array([(n - 2) * n + n - 1]))
+        lo, hi = g.endpoints()
+        assert lo.dtype == hi.dtype == np.int32
+        assert (lo.tolist(), hi.tolist()) == ([n - 2], [n - 1])
+
     def test_canonical_form_is_the_sorted_edge_set(self):
         n, m, d = 60, 50, 4
         rng = make_rng(3)
@@ -602,6 +623,14 @@ class TestGraphFileFormat:
         # Rejected from the header, before any n-sized array is allocated.
         path = tmp_path / "huge.txt"
         path.write_text(f"{n} 0 2\n")
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            sampler.read_graph(path)
+
+    @pytest.mark.parametrize("m, edges", [(0, ""), (1, "0 1\n")])
+    def test_read_checks_the_bound_before_encoding(self, tmp_path, m, edges):
+        # u*n + v with n = 10**20 cannot be built in int64 at all.
+        path = tmp_path / "huge.txt"
+        path.write_text(f"{10**20} {m} 2\n{edges}")
         with pytest.raises(ValueError, match="exceeds the limit"):
             sampler.read_graph(path)
 
