@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Subcommands: threshold, predict, sample, components, sweep, duel, oracle.
-Exit code 0 on success; runtime failures print a single JSON error line
-to stderr and exit nonzero.
+Exit 0 on success; a runtime failure prints one JSON line to stderr, exit 1.
 """
 
 from __future__ import annotations
@@ -112,17 +111,18 @@ def _cmd_duel(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     ensemble = oracle.enumerate_graphs(args.n, args.m, args.d)
-    # The test runs first, so a rejected --trials prints and writes nothing.
+    # Test, write, then print: a failure leaves stdout empty, a bad --trials no file.
     if args.trials:
         start = time.perf_counter()
         rep = oracle.uniformity_test(ensemble, args.trials, args.seed)
         wall = time.perf_counter() - start
-    print(f"ensemble count={ensemble.count}")
     if args.out:
         with open(args.out, "w") as fh:
             for row in ensemble.edge_codes:
                 g = sampler.SimpleGraph(ensemble.n, ensemble.d, row)
                 fh.write(sampler.format_graph(g) + "\n")
+    print(f"ensemble count={ensemble.count}")
+    if args.out:
         print(f"wrote ensemble to {args.out}")
     if args.trials:
         print(f"trials={rep.trials} tv_distance={rep.tv_distance:.6g}")

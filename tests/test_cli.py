@@ -1,5 +1,6 @@
 """CLI surface tests: subcommands, output formats, exit codes."""
 
+import builtins
 import contextlib
 import io
 import itertools
@@ -16,12 +17,22 @@ def run_cli(args):
     return cli.main(args)
 
 
+# The failures the commands are meant to report.  cli.main catches every
+# Exception, so a warning raised under the suite's filterwarnings, numpy's
+# LinAlgError or a programming error (IndexError, TypeError, ...) would also
+# end as one JSON line; one_json_error fails on those.
+EXPECTED_FAILURES = (ValueError, OSError, OverflowError, MemoryError, sampler.SamplingError)
+
+
 def one_json_error(err):
     """The error payload of stderr that holds exactly one JSON line."""
     lines = err.splitlines()
     assert len(lines) == 1, err
     payload = json.loads(lines[0])
     assert set(payload) == {"error", "message"}
+    name = payload["error"]
+    kind = getattr(builtins, name, None) or getattr(sampler, name, None)
+    assert isinstance(kind, type) and issubclass(kind, EXPECTED_FAILURES), payload
     return payload
 
 
@@ -332,6 +343,15 @@ class TestOracleCommand:
         ])
         assert code == 1 and stdout == "" and not out.exists()
         assert "at least 8500 trials" in one_json_error(err)["message"]
+
+    def test_unwritable_out_prints_nothing(self, tmp_path):
+        # The count prints only after --out is written, so stdout stays empty.
+        code, stdout, err = run_quietly([
+            "oracle", "--n", "3", "--m", "1", "--d", "2", "--out", str(tmp_path),
+            "--trials", "300", "--seed", "0",
+        ])
+        assert code == 1 and stdout == ""
+        assert one_json_error(err)["error"] == "IsADirectoryError"
 
 
 # -- every failure is one JSON line on stderr and exit code 1 ------------------
