@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: threshold, predict, sample, components, sweep, duel, oracle.
-Exit 0 on success; a runtime failure prints one JSON line to stderr, exit 1.
+Exit 0 on success; any failure, a malformed command line included, prints
+one JSON line to stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import json
 import math
 import sys
 import time
+from typing import NoReturn
 
 import numpy as np
 
@@ -147,8 +149,15 @@ def _add_grid_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors for main to report; subparsers inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gnmd",
         description=(
             "Uniform sampling and phase analysis of random graphs with a "
@@ -205,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except Exception as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

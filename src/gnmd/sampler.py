@@ -113,6 +113,8 @@ class SimpleGraph:
     def __post_init__(self) -> None:
         n, d = operator.index(self.n), operator.index(self.d)
         _check_vertices(n)
+        if d < 0:
+            raise ValueError(f"degree bound must be >= 0, got d={d}")
         codes = np.array(self.codes)
         if codes.size and codes.dtype.kind not in "iu":
             raise ValueError(f"edge codes must be integers, got dtype {codes.dtype}")

@@ -1,22 +1,14 @@
 """Truncated Poisson degree laws and the special functions behind them.
 
 A Poisson(lam) variable conditioned on values in {0, ..., d} has pmf
-proportional to lam^i / i!.  Everything in this module is built from the
-partial exponential sums
-
-    s_d(lam) = sum_{j=0}^{d} lam^j / j!
-
-and the associated mean function
-
-    mean(d, lam) = lam * s_{d-1}(lam) / s_d(lam),
-
-which is exactly the expectation of the d-truncated Poisson law and is
-strictly increasing in lam, mapping (0, inf) onto (0, d).  That bijection
-is what lets us parameterize degree laws by their mean instead of by the
-rate, and it defines the critical mean degree separating the phase with
-all components small from the phase with a giant component.  A DegreeLaw
-is its (d, lam); molloy_reed_q and giant's functions also take a bare
-probability vector, checked by as_probs.
+proportional to the terms lam^j / j!, which DegreeLaw and mean build by
+one recurrence, scaled by the largest term so that none overflows.  The
+mean is strictly increasing in lam and maps (0, inf) onto (0, d).  That
+bijection lets us parameterize degree laws by their mean instead of by
+the rate, and it defines the critical mean degree separating the phase
+with all components small from the phase with a giant component.  A
+DegreeLaw is its (d, lam); molloy_reed_q and giant's functions also take
+a bare probability vector, checked by as_probs.
 """
 
 from __future__ import annotations
@@ -31,7 +23,6 @@ import numpy as np
 __all__ = [
     "DegreeLaw",
     "as_probs",
-    "partial_exp_sum",
     "mean",
     "invert_mean",
     "make_degree_law",
@@ -70,13 +61,22 @@ class DegreeLaw:
             raise ValueError(f"max degree must be >= 1, got {d}")
         # Scale every class by the largest one, at j = min(d, floor(lam)), so
         # that no term exceeds 1 and none overflows, however large lam is.
-        terms = np.empty(d + 1)
+        # Each direction stops where a term underflows to 0, as all later ones would.
+        terms = np.zeros(d + 1)
         peak = min(d, int(lam))
         terms[peak] = 1.0
+        term = 1.0
         for j in range(peak + 1, d + 1):
-            terms[j] = terms[j - 1] * lam / j
+            term = term * lam / j
+            if not term:
+                break
+            terms[j] = term
+        term = 1.0
         for j in range(peak, 0, -1):
-            terms[j - 1] = terms[j] * j / lam
+            term = term * j / lam
+            if not term:
+                break
+            terms[j - 1] = term
         probs = terms / terms.sum()
         probs.setflags(write=False)
         object.__setattr__(self, "d", d)
@@ -118,40 +118,12 @@ def _check_rate(lam: float) -> float:
     return lam
 
 
-def partial_exp_sum(d: int, lam: float) -> float:
-    """Partial sum of the exponential series: sum_{j=0}^{d} lam^j / j!.
-
-    Terms are accumulated in ascending order with the recurrence
-    term_{j+1} = term_j * lam / (j+1), so no factorial is ever formed.
-    The sum itself overflows to inf once a term passes the float range,
-    for example at d = 60 and lam = 1e7.
-
-    Args:
-        d: Upper summation index, d >= 0.
-        lam: Positive rate.
-
-    Returns:
-        The partial sum; always >= 1 (the j = 0 term alone is 1).
-
-    Raises:
-        ValueError: If lam <= 0 or d < 0.
-    """
-    lam = _check_rate(lam)
-    if d < 0:
-        raise ValueError(f"summation index must be >= 0, got {d}")
-    total = 1.0
-    term = 1.0
-    for j in range(1, d + 1):
-        term *= lam / j
-        total += term
-    return total
-
-
 def mean(k: int, lam: float) -> float:
     """Mean of the k-truncated Poisson law: lam * s_{k-1}(lam) / s_k(lam).
 
-    Strictly increasing in lam and strictly inside (0, k).  Where the
-    partial sums overflow, the mean is taken from DegreeLaw(k, lam) instead.
+    Here s_k(lam) = sum_{j=0}^{k} lam^j / j!; the mean is read in one pass as
+    sum_j j t_j / sum_j t_j over DegreeLaw's scaled terms t_j.  Strictly
+    increasing in lam and inside (0, k), though it rounds to k far above k.
 
     Raises:
         ValueError: If k < 1 or lam <= 0.
@@ -159,13 +131,23 @@ def mean(k: int, lam: float) -> float:
     lam = _check_rate(lam)
     if k < 1:
         raise ValueError(f"truncation degree must be >= 1, got {k}")
-    value = lam * partial_exp_sum(k - 1, lam) / partial_exp_sum(k, lam)
-    if 0.0 < value < math.inf:
-        return value
-    # The partial sums overflowed, which leaves 0, inf or nan: take the
-    # mean of the law instead, whose classes are then scaled by the
-    # largest one.
-    return DegreeLaw(k, lam).mu
+    peak = min(k, int(lam))
+    total, moment = 1.0, float(peak)
+    term = 1.0
+    for j in range(peak + 1, k + 1):
+        term = term * lam / j
+        if not term:
+            break
+        total += term
+        moment += j * term
+    term = 1.0
+    for j in range(peak, 0, -1):
+        term = term * j / lam
+        if not term:
+            break
+        total += term
+        moment += (j - 1) * term
+    return moment / total
 
 
 def invert_mean(k: int, target: float) -> float:

@@ -169,6 +169,15 @@ class TestSampleAndComponents:
         assert "vertex" in one_json_error(captured.err)["message"]
         assert captured.out == ""
 
+    def test_negative_degree_bound_is_named(self, tmp_path, capsys):
+        path = tmp_path / "negative.txt"
+        path.write_text("3 0 -1\n")
+        assert run_cli(["components", "--in", str(path), "--json"]) == 1
+        captured = capsys.readouterr()
+        message = one_json_error(captured.err)["message"]
+        assert "degree bound must be >= 0, got d=-1" in message
+        assert captured.out == ""
+
     def test_edge_lines_under_an_edgeless_header_are_one_json_error(self, tmp_path, capsys):
         path = tmp_path / "extra.txt"
         path.write_text("3 0 2\n0 1\n0 2\n")
@@ -445,6 +454,21 @@ class TestFailuresAreOneJsonLine:
         else:
             assert code == 1 and out == ""
             one_json_error(err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["predict", "--d", "x", "--mu", "1"], ["sample", "--n", "5"], ["nosuch"], []],
+        ids=["bad-int", "missing-arguments", "unknown-command", "no-command"],
+    )
+    def test_malformed_command_line(self, argv):
+        code, out, err = run_quietly(argv)
+        assert code == 1 and out == ""
+        assert one_json_error(err)["error"] == "ValueError"
+
+    def test_help_still_exits_zero(self):
+        with pytest.raises(SystemExit) as exit:
+            run_quietly(["--help"])
+        assert exit.value.code == 0
 
     @settings(max_examples=60, deadline=None)
     @given(case=_grid_break())

@@ -200,7 +200,7 @@ class TestPredict:
         assert giant.predict(8, 5.0).giant_fraction == pytest.approx(0.9954502132, abs=1e-10)
 
     @pytest.mark.parametrize("mu", [1.5, 2.0])
-    @pytest.mark.parametrize("d", [170, 400])
+    @pytest.mark.parametrize("d", [170, 400, 1000])
     def test_large_d_matches_d40(self, d, mu):
         # The classes above ~40 carry less than a rounding error of the law,
         # down to ~1e-288 at d = 170; they must not reach the root solver.

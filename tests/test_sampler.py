@@ -256,6 +256,7 @@ class TestSampleGraph:
         [
             (0, 2, [], ValueError, "at least one vertex"),
             (-1, 2, [], ValueError, "at least one vertex"),
+            (3, -1, [], ValueError, "degree bound must be >= 0, got d=-1"),
             (3, 2, [5, 1], ValueError, "sorted and duplicate-free"),
             (3, 2, [1, 1], ValueError, "sorted and duplicate-free"),
             (3, 2, [-1, 1], ValueError, "0 <= u < v"),
@@ -273,8 +274,8 @@ class TestSampleGraph:
             (1, 0, [], None, None),
         ],
         ids=[
-            "no-vertex", "negative-n", "unsorted", "duplicated", "negative-code",
-            "loop", "reversed", "past-n-squared", "int32-wrap", "over-degree",
+            "no-vertex", "negative-n", "negative-d", "unsorted", "duplicated",
+            "negative-code", "loop", "reversed", "past-n-squared", "int32-wrap", "over-degree",
             "matrix", "float-code", "bool-code", "float-d", "float-n", "triangle",
             "edgeless",
         ],

@@ -35,33 +35,6 @@ def exact_partial_exp_sum(d: int, lam: Fraction) -> Fraction:
     return sum(lam**j / math.factorial(j) for j in range(d + 1))
 
 
-class TestPartialExpSum:
-    def test_single_term(self):
-        assert tp.partial_exp_sum(0, 5.0) == 1.0
-
-    def test_two_terms(self):
-        assert tp.partial_exp_sum(1, 2.0) == 3.0
-
-    def test_against_rational_oracle(self):
-        expected = exact_partial_exp_sum(3, Fraction(2))
-        assert expected == Fraction(19, 3)
-        assert tp.partial_exp_sum(3, 2.0) == pytest.approx(float(expected), abs=1e-14)
-
-    @pytest.mark.parametrize("lam", [0.0, -1.0, -1e-9])
-    def test_rejects_nonpositive_rate(self, lam):
-        with pytest.raises(ValueError):
-            tp.partial_exp_sum(3, lam)
-
-    def test_rejects_negative_index(self):
-        with pytest.raises(ValueError):
-            tp.partial_exp_sum(-1, 1.0)
-
-    def test_at_least_one(self):
-        for lam in LAMBDA_GRID:
-            for d in range(11):
-                assert tp.partial_exp_sum(d, lam) >= 1.0
-
-
 class TestMean:
     def test_known_value_at_sqrt2(self):
         # lam(1 + lam)/(1 + lam + lam^2/2) = 1 exactly at lam = sqrt(2).
@@ -82,6 +55,16 @@ class TestMean:
         for k in range(1, 11):
             values = [tp.mean(k, lam) for lam in LAMBDA_GRID]
             assert all(a < b for a, b in zip(values, values[1:]))
+
+    def test_matches_rational_oracle(self):
+        # lam * s_{k-1}(lam) / s_k(lam) in exact arithmetic; Fraction(lam)
+        # is the float rate exactly.
+        for k in range(1, 11):
+            for lam in LAMBDA_GRID:
+                rate = Fraction(lam)
+                s = exact_partial_exp_sum
+                exact = rate * s(k - 1, rate) / s(k, rate)
+                assert tp.mean(k, lam) == pytest.approx(float(exact), rel=1e-14)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -156,7 +139,7 @@ class TestDegreeLaw:
         for d in range(1, 8):
             for lam in (0.3, 1.7, 6.0):
                 law = tp.DegreeLaw(d, lam)
-                s = tp.partial_exp_sum(d, lam)
+                s = float(exact_partial_exp_sum(d, Fraction(lam)))
                 expected = [lam**i / math.factorial(i) / s for i in range(d + 1)]
                 np.testing.assert_allclose(law.probs, expected, rtol=1e-12)
 
@@ -333,16 +316,6 @@ class TestMolloyReedQ:
             for lam in LAMBDA_GRID:
                 law = tp.DegreeLaw(d, lam)
                 assert tp.molloy_reed_q(law.probs.tolist()) == tp.molloy_reed_q(law)
-
-
-class TestLogConcavity:
-    def test_partial_sums_log_concave(self):
-        for d in range(1, 11):
-            for lam in LAMBDA_GRID:
-                lo = tp.partial_exp_sum(d - 1, lam)
-                mid = tp.partial_exp_sum(d, lam)
-                hi = tp.partial_exp_sum(d + 1, lam)
-                assert lo * hi <= mid * mid * (1 + 1e-14)
 
 
 class TestCriticalMeanDegree:
