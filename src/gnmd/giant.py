@@ -155,7 +155,12 @@ class PhasePrediction:
     law: DegreeLaw
 
     def to_json_dict(self) -> dict[str, Any]:
-        """JSON-safe dict; an infinite threshold becomes the string "inf"."""
+        """JSON-safe dict; an infinite threshold becomes the string "inf".
+
+        probs stops at the last nonzero class: past it every class has
+        underflowed to 0, so no mass is dropped.
+        """
+        probs = self.law.probs
         return {
             "d": self.d,
             "mu": self.mu,
@@ -167,7 +172,7 @@ class PhasePrediction:
             "near_critical": self.near_critical,
             "frontier_root": self.frontier_root_x,
             "giant_fraction": self.giant_fraction,
-            "probs": [float(p) for p in self.law.probs],
+            "probs": probs[: np.flatnonzero(probs)[-1] + 1].tolist(),
         }
 
 

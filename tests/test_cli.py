@@ -84,6 +84,14 @@ class TestPredictCommand:
         assert 0 < payload["giant_fraction"] < 1
         assert len(payload["probs"]) == 5
 
+    def test_json_probs_stop_at_the_last_nonzero_class(self, capsys):
+        # At d = 1000 the classes past 192 underflow to 0; they are not written.
+        assert run_cli(["predict", "--d", "1000", "--mu", "1.5", "--json"]) == 0
+        probs = json.loads(capsys.readouterr().out)["probs"]
+        assert len(probs) == 193
+        assert probs[-1] > 0
+        assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
+
     def test_infinite_threshold_in_json(self, capsys):
         assert run_cli(["predict", "--d", "2", "--mu", "1.0", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

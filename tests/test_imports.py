@@ -15,8 +15,7 @@ MODULES = sorted(
     if path != PACKAGE_INIT
 )
 PRODUCT = sorted([*(ROOT / "src" / "gnmd").glob("*.py"), *(ROOT / "bench").glob("*.py")])
-# oracle is the reference module: its exact references serve the tests.
-EXPORTERS = [path for path in PRODUCT if path.parent.name == "gnmd" and path.stem != "oracle"]
+EXPORTERS = [path for path in PRODUCT if path.parent.name == "gnmd"]
 
 
 def unused_imports(tree: ast.Module) -> list[str]:

@@ -1,4 +1,8 @@
-"""Tests for the enumeration, counting, and exact-distribution oracles."""
+"""Tests for the oracle's enumeration and uniformity test, and for the exact
+counts and degree-sum laws of tests/exact_reference.py.
+
+The recount by degree histograms is enumerate_graphs's independent check;
+the oracle itself holds only what `gnmd oracle` runs."""
 
 import itertools
 import math
@@ -15,6 +19,13 @@ from scipy.special import chdtri
 
 from gnmd import oracle, sampler, truncpoisson as tp
 from gnmd.seeding import make_rng
+
+from exact_reference import (
+    conditional_marginal,
+    count_graphs_with_degree_sequence,
+    stratified_recount,
+    sum_pmf,
+)
 
 
 class TestEnumerate:
@@ -65,50 +76,50 @@ class TestEnumerate:
         # Independent total: sum over degree histograms of the number of
         # labeled graphs realizing each, counted by the histogram recursion.
         for n, m, d in [(4, 3, 2), (5, 4, 2), (5, 5, 3), (6, 5, 3), (6, 6, 3), (7, 5, 2), (6, 7, 4)]:
-            assert oracle.stratified_recount(n, m, d) == oracle.enumerate_graphs(n, m, d).count
+            assert stratified_recount(n, m, d) == oracle.enumerate_graphs(n, m, d).count
 
     def test_recount_of_an_edgeless_instance(self):
-        assert oracle.stratified_recount(5, 0, 3) == 1
+        assert stratified_recount(5, 0, 3) == 1
 
 
 class TestDegreeSequenceCounts:
     def test_single_edge(self):
-        assert oracle.count_graphs_with_degree_sequence((1, 1)) == 1
+        assert count_graphs_with_degree_sequence((1, 1)) == 1
 
     def test_triangle(self):
-        assert oracle.count_graphs_with_degree_sequence((2, 2, 2)) == 1
+        assert count_graphs_with_degree_sequence((2, 2, 2)) == 1
 
     def test_star(self):
-        assert oracle.count_graphs_with_degree_sequence((3, 1, 1, 1)) == 1
+        assert count_graphs_with_degree_sequence((3, 1, 1, 1)) == 1
 
     def test_labeled_paths(self):
         # Degrees (2,2,1,1): the two labeled 4-paths with interior {0,1}.
-        assert oracle.count_graphs_with_degree_sequence((2, 2, 1, 1)) == 2
+        assert count_graphs_with_degree_sequence((2, 2, 1, 1)) == 2
 
     def test_odd_sum_impossible(self):
-        assert oracle.count_graphs_with_degree_sequence((2, 1)) == 0
+        assert count_graphs_with_degree_sequence((2, 1)) == 0
 
     def test_infeasible_sequence(self):
-        assert oracle.count_graphs_with_degree_sequence((3, 1)) == 0
+        assert count_graphs_with_degree_sequence((3, 1)) == 0
 
     def test_negative_entry(self):
-        assert oracle.count_graphs_with_degree_sequence((2, -1, 1)) == 0
+        assert count_graphs_with_degree_sequence((2, -1, 1)) == 0
 
     def test_labeled_cubic_graphs(self):
         # OEIS A002829, on 4, 6, 8, 10 and 12 vertices.
-        counts = [oracle.count_graphs_with_degree_sequence((3,) * n) for n in (4, 6, 8, 10, 12)]
+        counts = [count_graphs_with_degree_sequence((3,) * n) for n in (4, 6, 8, 10, 12)]
         assert counts == [1, 70, 19355, 11180820, 11555272575]
 
     def test_labeled_quartic_graphs(self):
         # OEIS A005815, on 5 to 9 vertices.
-        counts = [oracle.count_graphs_with_degree_sequence((4,) * n) for n in range(5, 10)]
+        counts = [count_graphs_with_degree_sequence((4,) * n) for n in range(5, 10)]
         assert counts == [1, 15, 465, 19355, 1024380]
 
 
 class TestStratifiedRecount:
     def test_medium_instance_is_exact_and_fast(self):
         start = time.perf_counter()
-        total = oracle.stratified_recount(60, 36, 4)
+        total = stratified_recount(60, 36, 4)
         assert time.perf_counter() - start < 5.0
         assert type(total) is int
         assert total == 1095198915205143835987417277473676749203112445931503981509997926702749557240
@@ -117,26 +128,26 @@ class TestStratifiedRecount:
         # Every degree vector in [0, d]^n with sum 2m, counted one by one.
         n, m, d = 6, 6, 3
         total = sum(
-            oracle.count_graphs_with_degree_sequence(x)
+            count_graphs_with_degree_sequence(x)
             for x in itertools.product(range(d + 1), repeat=n)
             if sum(x) == 2 * m
         )
-        assert oracle.stratified_recount(n, m, d) == total == 3595
+        assert stratified_recount(n, m, d) == total == 3595
 
 
 class TestSumPmf:
     def test_single_variable_is_the_pmf(self):
         law = tp.DegreeLaw(3, 1.2)
-        np.testing.assert_allclose(oracle.sum_pmf(1, 3, 1.2), law.probs)
+        np.testing.assert_allclose(sum_pmf(1, 3, 1.2), law.probs)
 
     def test_two_bernoulli_case(self):
         # d=1, lam=1 is Bernoulli(1/2); P(sum of two = 1) = 1/2.
-        pmf = oracle.sum_pmf(2, 1, 1.0)
+        pmf = sum_pmf(2, 1, 1.0)
         assert pmf[1] == pytest.approx(0.5, abs=1e-15)
 
     def test_normalization(self):
         lam = tp.invert_mean(3, 1.2)
-        pmf = oracle.sum_pmf(20, 3, lam)
+        pmf = sum_pmf(20, 3, lam)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
         assert pmf.size == 61
 
@@ -146,7 +157,7 @@ class TestSumPmf:
         brute = np.zeros(9)
         for combo in itertools.product(range(3), repeat=4):
             brute[sum(combo)] += math.prod(law.probs[k] for k in combo)
-        np.testing.assert_allclose(oracle.sum_pmf(4, 2, 0.7), brute, atol=1e-15)
+        np.testing.assert_allclose(sum_pmf(4, 2, 0.7), brute, atol=1e-15)
 
     def test_empirical_sum_frequencies(self):
         # Vector-level draws against the exact pmf, within 3 standard
@@ -154,7 +165,7 @@ class TestSumPmf:
         n, d = 20, 3
         lam = tp.invert_mean(d, 1.2)
         law = tp.DegreeLaw(d, lam)
-        pmf = oracle.sum_pmf(n, d, lam)
+        pmf = sum_pmf(n, d, lam)
         rng = make_rng(424242)
         trials = 1_000_000
         draws = np.searchsorted(law.cumulative(), rng.random((trials, n)), side="left")
@@ -166,11 +177,11 @@ class TestSumPmf:
 
 class TestConditionalMarginal:
     def test_single_variable_point_mass(self):
-        marg = oracle.conditional_marginal(1, 2, 3, 0.9)
+        marg = conditional_marginal(1, 2, 3, 0.9)
         np.testing.assert_allclose(marg, [0, 0, 1, 0], atol=0)
 
     def test_two_bernoulli_case(self):
-        marg = oracle.conditional_marginal(2, 1, 1, 1.0)
+        marg = conditional_marginal(2, 1, 1, 1.0)
         np.testing.assert_allclose(marg, [0.5, 0.5], atol=1e-15)
 
     def test_against_brute_force(self):
@@ -181,14 +192,35 @@ class TestConditionalMarginal:
             if sum(combo) == target:
                 joint[combo[0]] += math.prod(law.probs[k] for k in combo)
         np.testing.assert_allclose(
-            oracle.conditional_marginal(n, target, 2, 0.7),
+            conditional_marginal(n, target, 2, 0.7),
             joint / joint.sum(),
             atol=1e-14,
         )
 
     def test_impossible_target_rejected(self):
         with pytest.raises(ValueError):
-            oracle.conditional_marginal(2, 7, 3, 1.0)
+            conditional_marginal(2, 7, 3, 1.0)
+
+
+def test_the_oracle_holds_no_exact_reference():
+    # Only the tests read the exact counts and sum laws; the oracle keeps
+    # what `gnmd oracle` and the benchmark run.
+    moved = [
+        "_splits",
+        "_histogram_counter",
+        "_histograms",
+        "count_graphs_with_degree_sequence",
+        "stratified_recount",
+        "sum_pmf",
+        "conditional_marginal",
+    ]
+    assert [name for name in moved if hasattr(oracle, name)] == []
+    assert oracle.__all__ == [
+        "EnumeratedEnsemble",
+        "enumerate_graphs",
+        "UniformityReport",
+        "uniformity_test",
+    ]
 
 
 class TestUniformityTest:

@@ -15,6 +15,7 @@ from gnmd import oracle, sampler, truncpoisson as tp
 from gnmd.seeding import make_rng, trial_rng
 
 from analytic_reference import variance
+from exact_reference import conditional_marginal, sum_pmf
 
 
 def one_sequence(n, m, d, rng, stats=None):
@@ -73,7 +74,7 @@ class TestSampleDegreeSequence:
         # the sum-pmf oracle; the empirical estimate must agree.
         n, m, d = 30, 20, 3
         lam = tp.invert_mean(d, 2 * m / n)
-        exact = oracle.sum_pmf(n, d, lam)[2 * m]
+        exact = sum_pmf(n, d, lam)[2 * m]
         rate = conditioning_rate(n, m, d, 200_000, trial_rng(7, 0))
         assert rate == pytest.approx(exact, abs=4 * math.sqrt(exact / 200_000))
 
@@ -81,7 +82,7 @@ class TestSampleDegreeSequence:
         # With d = 1e6 the law stops at 2m = 2; an untruncated law over a
         # million degrees took 24 s and 563 MB.
         n, m, d = 3, 1, 10**6
-        exact = oracle.sum_pmf(n, 2, tp.invert_mean(2, 2 * m / n))[2 * m]
+        exact = sum_pmf(n, 2, tp.invert_mean(2, 2 * m / n))[2 * m]
         rate = conditioning_rate(n, m, d, 50_000, trial_rng(3, 0))
         assert rate == pytest.approx(exact, abs=4 * math.sqrt(exact / 50_000))
 
@@ -129,7 +130,7 @@ class TestSampleDegreeSequence:
         # P(Z_1 = k | sum = 2m) from the convolution-power oracle.
         n, m, d = 10_000, 6_000, 4
         lam = tp.invert_mean(d, 2 * m / n)
-        exact = oracle.conditional_marginal(n, 2 * m, d, lam)
+        exact = conditional_marginal(n, 2 * m, d, lam)
         totals = np.zeros(d + 1)
         samples = 200
         for t in range(samples):
@@ -434,7 +435,7 @@ class TestBulkSampler:
         assert rows.shape[1] == n and rows.shape[0] > 10_000
         assert (rows.sum(axis=1) == 2 * m).all()
         assert rows.min() >= 0 and rows.max() <= d
-        exact = oracle.conditional_marginal(n, 2 * m, d, law.lam)
+        exact = conditional_marginal(n, 2 * m, d, law.lam)
         expected = exact * rows.shape[0]
         for vertex in range(n):
             observed = np.bincount(rows[:, vertex], minlength=d + 1)
@@ -475,6 +476,30 @@ def repaired_codes(n, m, d, rng, cap=200):
             return codes[0]
 
 
+def d_process_codes(n, m, d, rng):
+    """A biased control sampler: the d-process, restarted at a dead end.
+
+    Each step adds an edge drawn uniformly from the absent pairs whose ends
+    both have degree below d; if none is left before the m-th edge, it
+    starts again from the empty graph.  A graph's probability then depends
+    on the orders in which its edges can be added, so it is not uniform.
+    """
+    pairs = np.array(list(itertools.combinations(range(n), 2)))
+    while True:
+        degree = np.zeros(n, dtype=np.int64)
+        absent = np.ones(len(pairs), dtype=bool)
+        for _ in range(m):
+            admissible = np.flatnonzero(absent & (degree[pairs].max(axis=1) < d))
+            if not admissible.size:
+                break
+            k = admissible[rng.integers(admissible.size)]
+            absent[k] = False
+            degree[pairs[k]] += 1
+        else:
+            # pairs are in lexicographic order, so the codes come out sorted.
+            return pairs[~absent] @ np.array([n, 1])
+
+
 def unweighted_completion_rows(n, target_sum, cum, rows, rng):
     """sampler._conditioned_degree_rows without its p(last) / max(p) step: biased.
 
@@ -508,32 +533,41 @@ class TestBulkUniformity:
 class TestScalarUniformity:
     """sample_graph, which carries every sweep and duel, against the enumerated ensemble.
 
-    At (5, 5, 3) the degree vectors differ in their counts of simple
-    graphs, so re-pairing a kept vector is biased there, unlike at
-    (4, 3, 2); the control shows that the gate sees that bias.  The
-    d-process (uniform admissible edges added one at a time) is off by a
-    TV of only 0.023 here, and would need ~51k draws to be rejected: these
-    5000 cannot see it.
+    Each biased control is rejected where its bias shows within these 5000
+    draws.  At (5, 5, 3) the degree vectors differ in their counts of
+    simple graphs, so re-pairing a kept vector is biased there, unlike at
+    (4, 3, 2); at (5, 4, 2) it is off by a TV of only 0.024 and would need
+    ~22k draws.  The d-process is off by a TV of 0.076 at (5, 4, 2), which
+    ~2.6k draws reject, but by only 0.023 at (5, 5, 3), which would need
+    ~51k.
     """
 
     TRIALS = 5_000
+    GRAPHS = {(5, 5, 3): 222, (5, 4, 2): 85}
 
-    def chi_square(self, draw):
-        ensemble = oracle.enumerate_graphs(5, 5, 3)
-        assert ensemble.count == 222
+    def chi_square(self, draw, n, m, d):
+        ensemble = oracle.enumerate_graphs(n, m, d)
+        assert ensemble.count == self.GRAPHS[n, m, d]
         rng = make_rng(0)
-        codes = np.array([draw(5, 5, 3, rng) for _ in range(self.TRIALS)])
+        codes = np.array([draw(n, m, d, rng) for _ in range(self.TRIALS)])
         observed = oracle._tally(ensemble, oracle._key_index(ensemble), codes)
         expected = self.TRIALS / ensemble.count
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         return chi2, oracle._chi_square_quantile(ensemble.count - 1, 0.001)
 
-    def test_sample_graph_passes_the_gate(self):
-        chi2, q999 = self.chi_square(lambda n, m, d, rng: sampler.sample_graph(n, m, d, rng).codes)
+    @pytest.mark.parametrize("n, m, d", list(GRAPHS))
+    def test_sample_graph_passes_the_gate(self, n, m, d):
+        chi2, q999 = self.chi_square(
+            lambda n, m, d, rng: sampler.sample_graph(n, m, d, rng).codes, n, m, d
+        )
         assert chi2 <= q999, f"chi2 {chi2:.1f} > {q999:.1f}"
 
     def test_the_gate_rejects_re_pairing(self):
-        chi2, q999 = self.chi_square(repaired_codes)
+        chi2, q999 = self.chi_square(repaired_codes, 5, 5, 3)
+        assert chi2 > q999, f"chi2 {chi2:.1f} <= {q999:.1f}"
+
+    def test_the_gate_rejects_the_d_process(self):
+        chi2, q999 = self.chi_square(d_process_codes, 5, 4, 2)
         assert chi2 > q999, f"chi2 {chi2:.1f} <= {q999:.1f}"
 
 
